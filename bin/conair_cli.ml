@@ -225,9 +225,6 @@ let variant_name = function Spec.Buggy -> "buggy" | Spec.Clean -> "clean"
 let run_meta_of app variant seed =
   Obs.Jsonl.run_meta ~variant:(variant_name variant) ?seed app
 
-let write_file file contents =
-  Out_channel.with_open_text file (fun oc -> output_string oc contents)
-
 (* Execute [inst] observed — both the hardened and the unhardened path
    go through the facade's [run_report_of], the same code path the serve
    daemon's run jobs use — and write whichever telemetry files were
@@ -248,11 +245,12 @@ let observed_run ~config ~engine ~meta_info ~mode ~trace_json ~metrics_file
   in
   (match metrics_file with
   | Some file ->
-      write_file file (Obs.Json.to_string_pretty (Obs.Metrics.to_json rr.Conair.metrics))
+      Obs.Jsonl.write_file file
+        (Obs.Json.to_string_pretty (Obs.Metrics.to_json rr.Conair.metrics))
   | None -> ());
   (match spans_file with
   | Some file ->
-      write_file file
+      Obs.Jsonl.write_file file
         (Obs.Json.to_string_pretty
            (Obs.Span.to_chrome ~events:rr.Conair.events rr.Conair.spans))
   | None -> ());
@@ -523,7 +521,7 @@ let report_cmd =
         in
         (match out with
         | None -> print_string contents
-        | Some file -> write_file file contents);
+        | Some file -> Obs.Jsonl.write_file file contents);
         if Outcome.is_success rr.Conair.run.outcome then 0 else 2
   in
   Cmd.v
@@ -875,7 +873,7 @@ let profile_cmd =
                 r.r_wasted r.r_ctx)
             rows;
           let write_collapsed file kind =
-            write_file file
+            Obs.Jsonl.write_file file
               (String.concat "\n" (Obs.Prof.to_collapsed prof kind) ^ "\n")
           in
           (match collapsed with
@@ -888,7 +886,7 @@ let profile_cmd =
           | Some file ->
               let events = Trace.events sink in
               let spans = Obs.Span.of_events events in
-              write_file file
+              Obs.Jsonl.write_file file
                 (Obs.Json.to_string_pretty
                    (Obs.Span.to_chrome ~events
                       ~counters:(Obs.Prof.counter_events prof)
@@ -896,7 +894,7 @@ let profile_cmd =
           | None -> ());
           (match json with
           | Some file ->
-              write_file file
+              Obs.Jsonl.write_file file
                 (Obs.Json.to_string_pretty (Obs.Prof.to_json prof))
           | None -> ());
           if Outcome.is_success outcome then 0 else 2
@@ -997,7 +995,8 @@ let overhead_cmd =
           Obs.Overhead.measure_all ~config ~random_runs:runs ~detect
             (List.map case_of_spec specs)
         in
-        write_file out (Obs.Json.to_string_pretty (Obs.Overhead.to_json rows));
+        Obs.Jsonl.write_file out
+          (Obs.Json.to_string_pretty (Obs.Overhead.to_json rows));
         List.iter print_endline (Obs.Overhead.table_rows rows);
         let s = Obs.Overhead.summary rows in
         Printf.printf
@@ -1110,7 +1109,7 @@ let races_cmd =
           (List.length actual) (List.length potential);
         (match json with
         | Some out ->
-            write_file out
+            Obs.Jsonl.write_file out
               (Obs.Json.to_string_pretty (Conair.Race.Report.to_json report))
         | None -> ());
         if report.Conair.Race.Report.races <> [] || actual <> [] then 3
@@ -1391,7 +1390,7 @@ let minimize_cmd =
                 | None -> ());
                 (match json with
                 | Some file ->
-                    write_file file
+                    Obs.Jsonl.write_file file
                       (Obs.Json.to_string_pretty
                          (Replay.Minimize.to_json m));
                     Printf.printf "explanation: %s\n" file
@@ -1601,7 +1600,7 @@ let bundle_minimize_cmd =
                 | None -> ());
                 (match json with
                 | Some file ->
-                    write_file file
+                    Obs.Jsonl.write_file file
                       (Obs.Json.to_string_pretty (Replay.Minimize.to_json m));
                     Printf.printf "explanation: %s\n" file
                 | None -> ());
@@ -1651,7 +1650,7 @@ let aggregate_cmd =
         List.iter print_endline (Obs.Aggregate.render agg);
         (match json with
         | Some out ->
-            write_file out
+            Obs.Jsonl.write_file out
               (Obs.Json.to_string_pretty (Obs.Aggregate.to_json agg))
         | None -> ());
         0
@@ -1728,7 +1727,7 @@ let fix_cmd =
         print_string (Fix.Pipeline.render report);
         (match json with
         | Some file ->
-            write_file file
+            Obs.Jsonl.write_file file
               (Obs.Json.to_string_pretty (Fix.Pipeline.to_json report))
         | None -> ());
         (match out with
@@ -1748,7 +1747,7 @@ let fix_cmd =
                       id
                   in
                   let file = Filename.concat dir (name ^ ".mir") in
-                  write_file file
+                  Obs.Jsonl.write_file file
                     (Conair.Ir.Emit.program
                        c.Fix.Pipeline.c_patch.Fix.Patch.p_program);
                   Printf.printf "patched program: %s\n" file

@@ -73,6 +73,7 @@ module Json = Conair.Obs.Json
 module Jsonl = Conair.Obs.Jsonl
 module Coverage = Conair.Obs.Coverage
 module Campaign = Conair.Obs.Campaign
+module Aggregate = Conair.Obs.Aggregate
 module Metrics = Conair.Obs.Metrics
 module Bs = Conair_bugbench.Bench_spec
 module Registry = Conair_bugbench.Registry
@@ -160,13 +161,6 @@ let seed_novelty = ref 0.
    always do). *)
 let observing () = !jsonl <> None
 
-let outcome_tag (o : Outcome.t) =
-  match o with
-  | Outcome.Success -> "success"
-  | Outcome.Failed _ -> "failed"
-  | Outcome.Hang _ -> "hang"
-  | Outcome.Fuel_exhausted _ -> "fuel-exhausted"
-
 let write_jsonl j =
   match !jsonl with Some w -> Jsonl.write_json w j | None -> ()
 
@@ -237,8 +231,8 @@ let execute_recorded ~case ~seed ?(tag = "") ~config (h : Conair.hardened) =
     | Some c ->
         let ob, nov = observe_run ~case c in
         if failing then
-          emit_finding ~case ~seed ~outcome:(outcome_tag r.outcome) ~ob
-            ~novelty:nov ~path log
+          emit_finding ~case ~seed ~outcome:(Aggregate.outcome_tag r.outcome)
+            ~ob ~novelty:nov ~path log
     | None -> ());
     r
   end
@@ -274,58 +268,16 @@ let probe_unhardened ~case ~seed ?(tag = "") ?(config = config) p =
     in
     let ob, nov = observe_run ~case coll in
     if failing then
-      emit_finding ~case ~seed ~outcome:(outcome_tag r.outcome) ~ob
-        ~novelty:nov ~path log;
+      emit_finding ~case ~seed ~outcome:(Aggregate.outcome_tag r.outcome)
+        ~ob ~novelty:nov ~path log;
     r
   end
-
-(* per-site episode/retry/steps rollup of one run's recovery episodes *)
-let site_rollup (s : Stats.t) =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun (e : Stats.episode) ->
-      let eps, rts, stp =
-        Option.value ~default:(0, 0, 0) (Hashtbl.find_opt tbl e.ep_site_id)
-      in
-      Hashtbl.replace tbl e.ep_site_id
-        (eps + 1, rts + e.ep_retries, stp + Stats.episode_duration e))
-    (Stats.episodes_chronological s);
-  Hashtbl.fold (fun id v acc -> (id, v) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-let run_record ~case ~seed (r : Conair.run) =
-  let episodes = Stats.episodes_chronological r.stats in
-  Json.Obj
-    [
-      ("type", Json.String "run");
-      ("case", Json.String case);
-      ("seed", Json.Int seed);
-      ("outcome", Json.String (outcome_tag r.outcome));
-      ("steps", Json.Int r.stats.steps);
-      ("instrs", Json.Int r.stats.instrs);
-      ("rollbacks", Json.Int r.stats.rollbacks);
-      ("episodes", Json.Int (List.length episodes));
-      ("retries", Json.Int (Stats.total_retries r.stats));
-      ("max_episode_steps", Json.Int (Stats.max_recovery_time r.stats));
-      ( "sites",
-        Json.List
-          (List.map
-             (fun (id, (eps, rts, stp)) ->
-               Json.Obj
-                 [
-                   ("site", Json.Int id);
-                   ("episodes", Json.Int eps);
-                   ("retries", Json.Int rts);
-                   ("steps", Json.Int stp);
-                 ])
-             (site_rollup r.stats)) );
-    ]
 
 let note_run ~case ~seed (r : Conair.run) =
   incr runs;
   if r.stats.rollbacks > 0 then incr recoveries;
   max_episode := max !max_episode (Stats.max_recovery_time r.stats);
-  write_jsonl (run_record ~case ~seed r);
+  write_jsonl (Aggregate.run_record ~case ~seed ~outcome:r.outcome r.stats);
   r
 
 let check case ~detail ok =
@@ -714,13 +666,6 @@ let read_lines path =
     String.split_on_char '\n' s |> List.filter (fun l -> String.trim l <> "")
   end
 
-let write_file path content =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  output_string oc content;
-  close_out oc;
-  Sys.rename tmp path
-
 (* contiguous chunks: worker i gets [chunk_lo i .. chunk_hi i] *)
 let chunk_range ~lo ~hi ~jobs i =
   let n = hi - lo + 1 in
@@ -841,7 +786,9 @@ let run_campaign ~dir ~njobs ~lo ~hi ~eng ~minimize_corpus () =
        "conair_campaign_workers")
     (float_of_int njobs);
   let metrics_path = Filename.concat dir "metrics.prom" in
-  let expose () = write_file metrics_path (Metrics.to_prometheus live) in
+  let expose () =
+    Jsonl.write_file metrics_path (Metrics.to_prometheus live)
+  in
   expose ();
   let poll () =
     let progressed = ref false in
@@ -953,7 +900,7 @@ let run_campaign ~dir ~njobs ~lo ~hi ~eng ~minimize_corpus () =
                             Filename.concat dir
                               (Printf.sprintf "corpus/%s-raw.sched.jsonl" stem)
                           in
-                          write_file dest
+                          Jsonl.write_file dest
                             (String.concat "\n" (read_lines log_path) ^ "\n");
                           Campaign.set_minimized c ~signature:f.f_signature
                             ~path:dest)))
@@ -961,7 +908,7 @@ let run_campaign ~dir ~njobs ~lo ~hi ~eng ~minimize_corpus () =
       in
       ignore (Campaign.metrics ~into:live c);
       expose ();
-      write_file
+      Jsonl.write_file
         (Filename.concat dir "report.json")
         (Json.to_string_pretty (Campaign.to_json c) ^ "\n");
       (c, workers_ok)
@@ -1005,7 +952,7 @@ let run_bench ~file ~lo ~hi =
   let doc =
     Campaign.bench_json ~jobs:njobs ~iterations:(hi - lo + 1) results
   in
-  write_file file (Json.to_string_pretty doc ^ "\n");
+  Jsonl.write_file file (Json.to_string_pretty doc ^ "\n");
   let agreement =
     match Json.member "signature_agreement" doc with
     | Some (Json.Bool b) -> b

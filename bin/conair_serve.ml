@@ -15,6 +15,7 @@
 
 open Cmdliner
 module Json = Conair_server.Protocol.Json
+module Jsonl = Conair.Obs.Jsonl
 module Protocol = Conair_server.Protocol
 module Server = Conair_server.Server
 module Client = Conair_server.Client
@@ -161,15 +162,6 @@ let minimize_log_lines () =
       in
       Conair.Replay.Log.to_lines log
 
-let member_string k j =
-  match Json.member k j with Some (Json.String s) -> s | _ -> ""
-
-let member_int k j =
-  match Json.member k j with Some (Json.Int n) -> Some n | _ -> None
-
-let write_file file contents =
-  Out_channel.with_open_text file (fun oc -> output_string oc contents)
-
 (* One tenant's worth of load, fully pipelined: send every submit
    first, then read frames back until every result arrived (or EOF).
    Returns the submitted (id, spec) list, the (id, frame) results in
@@ -200,12 +192,12 @@ let drive_tenant ~address ~tenant ~tenant_ix ~jobs ~minimize_log =
       | Some frame ->
           (match Client.frame_type frame with
           | "result" ->
-              results := (member_string "id" frame, frame) :: !results
+              results := (Json.string_member "id" frame, frame) :: !results
           | "telemetry" -> incr telemetry
           | "error" ->
               errors :=
                 Printf.sprintf "%s: server error: %s" tenant
-                  (member_string "message" frame)
+                  (Json.string_member "message" frame)
                 :: !errors
           | _ -> ());
           read ()
@@ -349,7 +341,7 @@ let stress_cmd =
         match Json.member "report" frame with
         | None -> fail "cli-equiv job: no report"
         | Some report ->
-            write_file
+            Jsonl.write_file
               (Filename.concat out_dir "report_hawknl.json")
               (Json.to_string_pretty report)));
 
@@ -371,10 +363,9 @@ let stress_cmd =
        Client.submit c ~tenant:"cli-equiv" ~id:"hawknl-deadlock" failing_spec
      with
     | Error e -> fail "bundle job: %s" e
-    | Ok (frame, _telemetry) -> (
-        match member_int "exit" frame with
-        | Some 2 -> ()
-        | _ -> fail "bundle job: expected the injected run to fail (exit 2)"));
+    | Ok (frame, _telemetry) ->
+        if Json.int_member "exit" frame <> 2 then
+          fail "bundle job: expected the injected run to fail (exit 2)");
     Client.send c
       (Protocol.Bundle { tenant = "cli-equiv"; id = "hawknl-deadlock" });
     (match Client.recv_until c (fun j -> Client.frame_type j = "bundle") with
@@ -383,9 +374,6 @@ let stress_cmd =
         match Json.member "bundle" frame with
         | None -> fail "bundle frame carries no bundle document"
         | Some doc -> (
-            write_file
-              (Filename.concat out_dir "hawknl.bundle.json")
-              (Json.to_string_pretty doc);
             (match (Job.execute failing_spec).Job.jr_bundle with
             | None -> fail "in-process run produced no flight bundle"
             | Some expect ->
@@ -394,6 +382,8 @@ let stress_cmd =
             match Conair.Obs.Flight.of_json doc with
             | Error e -> fail "served bundle does not decode: %s" e
             | Ok b -> (
+                Conair.Obs.Flight.save b
+                  (Filename.concat out_dir "hawknl.bundle.json");
                 match Conair.Replay.Bundle.recover_log b with
                 | Error e -> fail "bundle regeneration failed: %s" e
                 | Ok log -> (
@@ -406,16 +396,16 @@ let stress_cmd =
     Client.send c Protocol.Metrics;
     (match Client.recv_until c (fun j -> Client.frame_type j = "metrics") with
     | Some frame ->
-        write_file
+        Jsonl.write_file
           (Filename.concat out_dir "metrics.prom")
-          (member_string "body" frame)
+          (Json.string_member "body" frame)
     | None -> fail "no metrics frame");
     Client.send c Protocol.Status;
     (match
        Client.recv_until c (fun j -> Client.frame_type j = "serve_status")
      with
     | Some status ->
-        write_file
+        Jsonl.write_file
           (Filename.concat out_dir "status.json")
           (Json.to_string_pretty status);
         (* cross-check the daemon's own accounting *)
@@ -424,7 +414,7 @@ let stress_cmd =
           | Some (Json.List ts) ->
               List.fold_left
                 (fun acc t ->
-                  acc + Option.value ~default:0 (member_int "completed" t))
+                  acc + Json.int_member "completed" t)
                 0 ts
           | _ -> 0
         in
@@ -438,7 +428,7 @@ let stress_cmd =
     | Some frame -> (
         match Json.member "chrome" frame with
         | Some doc ->
-            write_file
+            Jsonl.write_file
               (Filename.concat out_dir "spans.json")
               (Json.to_string_pretty doc)
         | None -> fail "spans frame carries no chrome document")

@@ -13,8 +13,12 @@
     "sites":[{"site":N,"episodes":N,"retries":N,"steps":N}, ...]}
    v}
 
+   [run_record] is the encoder of that record.
+
    Percentiles are nearest-rank (the value at ceil(p/100 * n), 1-based)
    over the recovery runs — runs with at least one recovery episode. *)
+
+open Conair_runtime
 
 type site_agg = {
   g_site : int;
@@ -56,37 +60,77 @@ let percentile xs p =
       in
       List.nth sorted (min n rank - 1)
 
-let int_member key j =
-  match Json.member key j with
-  | Some (Json.Int n) -> n
-  | Some (Json.Float f) -> int_of_float f
-  | _ -> 0
+(* --- the run record: encoder -------------------------------------- *)
 
-let string_member key j =
-  match Json.member key j with Some (Json.String s) -> s | _ -> ""
+(* The one encoder of the record this module folds, shared by the
+   fuzzer's JSONL stream and the serve daemon's jobs, so a fuzz log and
+   a tenant's job history aggregate identically. *)
 
-let is_run j = string_member "type" j = "run"
+let outcome_tag : Outcome.t -> string = function
+  | Outcome.Success -> "success"
+  | Outcome.Failed _ -> "failed"
+  | Outcome.Hang _ -> "hang"
+  | Outcome.Fuel_exhausted _ -> "fuel-exhausted"
+
+let site_rollup (s : Stats.t) =
+  let tbl = Hashtbl.create 8 in
+  List.iter
+    (fun (e : Stats.episode) ->
+      let eps, rts, stp =
+        Option.value ~default:(0, 0, 0) (Hashtbl.find_opt tbl e.ep_site_id)
+      in
+      Hashtbl.replace tbl e.ep_site_id
+        (eps + 1, rts + e.ep_retries, stp + Stats.episode_duration e))
+    (Stats.episodes_chronological s);
+  Hashtbl.fold (fun id v acc -> (id, v) :: acc) tbl []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
+
+let run_record ~case ~seed ~outcome (stats : Stats.t) =
+  Json.Obj
+    [
+      ("type", Json.String "run");
+      ("case", Json.String case);
+      ("seed", Json.Int seed);
+      ("outcome", Json.String (outcome_tag outcome));
+      ("steps", Json.Int stats.steps);
+      ("instrs", Json.Int stats.instrs);
+      ("rollbacks", Json.Int stats.rollbacks);
+      ( "episodes",
+        Json.Int (List.length (Stats.episodes_chronological stats)) );
+      ("retries", Json.Int (Stats.total_retries stats));
+      ("max_episode_steps", Json.Int (Stats.max_recovery_time stats));
+      ( "sites",
+        Json.List
+          (List.map
+             (fun (id, (eps, rts, stp)) ->
+               Json.Obj
+                 [
+                   ("site", Json.Int id);
+                   ("episodes", Json.Int eps);
+                   ("retries", Json.Int rts);
+                   ("steps", Json.Int stp);
+                 ])
+             (site_rollup stats)) );
+    ]
+
+(* --- the run record: decoder (fold) ------------------------------- *)
+
+let is_run j = Json.string_member "type" j = "run"
 
 (* fuzz_summary trailers carry the stream-level facts the run records do
    not repeat: which engine executed and the wall-clock the whole stream
    took. Elapsed folds by max — parallel workers' streams overlap in
    time, so the longest stream is the campaign's wall-clock. *)
-let float_member key j =
-  match Json.member key j with
-  | Some (Json.Float f) -> f
-  | Some (Json.Int n) -> float_of_int n
-  | _ -> 0.
-
 let summary_facts records =
   let engines = ref [] and elapsed = ref 0. in
   List.iter
     (fun r ->
-      if string_member "type" r = "fuzz_summary" then begin
-        let e = string_member "engine" r in
+      if Json.string_member "type" r = "fuzz_summary" then begin
+        let e = Json.string_member "engine" r in
         if e <> "" && not (List.mem e !engines) then engines := e :: !engines;
         (* A corrupt summary (NaN/inf/negative elapsed) must not poison
            the throughput figure; only positive finite values fold. *)
-        let el = float_member "elapsed_sec" r in
+        let el = Json.float_member "elapsed_sec" r in
         if Float.is_finite el && el > 0. then
           elapsed := Float.max !elapsed el
       end)
@@ -104,28 +148,29 @@ let of_records (records : Json.t list) : t =
   let recovery_runs = ref 0 in
   List.iter
     (fun r ->
-      let tag = string_member "outcome" r in
+      let tag = Json.string_member "outcome" r in
       let tag = if tag = "" then "unknown" else tag in
       Hashtbl.replace outcomes tag
         (1 + Option.value ~default:0 (Hashtbl.find_opt outcomes tag));
-      total_steps := !total_steps + int_member "steps" r;
-      if int_member "episodes" r > 0 then begin
+      total_steps := !total_steps + Json.int_member "steps" r;
+      if Json.int_member "episodes" r > 0 then begin
         incr recovery_runs;
-        recovery_steps := int_member "max_episode_steps" r :: !recovery_steps;
-        retries := int_member "retries" r :: !retries
+        recovery_steps :=
+          Json.int_member "max_episode_steps" r :: !recovery_steps;
+        retries := Json.int_member "retries" r :: !retries
       end;
       match Json.member "sites" r with
       | Some (Json.List site_objs) ->
           List.iter
             (fun s ->
-              let id = int_member "site" s in
+              let id = Json.int_member "site" s in
               let eps, rts, stp =
                 Option.value ~default:(0, 0, 0) (Hashtbl.find_opt sites id)
               in
               Hashtbl.replace sites id
-                ( eps + int_member "episodes" s,
-                  rts + int_member "retries" s,
-                  stp + int_member "steps" s ))
+                ( eps + Json.int_member "episodes" s,
+                  rts + Json.int_member "retries" s,
+                  stp + Json.int_member "steps" s ))
             site_objs
       | _ -> ())
     runs;

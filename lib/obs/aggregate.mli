@@ -43,6 +43,19 @@ val percentile : int list -> float -> int
     an unsorted list; [0] on the empty list. [p] is clamped to
     [\[0, 100\]] (NaN counts as 0), so any float is a safe argument. *)
 
+(** {1 The run record} *)
+
+val outcome_tag : Conair_runtime.Outcome.t -> string
+(** ["success"], ["failed"], ["hang"] or ["fuel-exhausted"]. *)
+
+val run_record :
+  case:string -> seed:int -> outcome:Conair_runtime.Outcome.t ->
+  Conair_runtime.Stats.t -> Json.t
+(** The per-run record {!of_records} folds — the one encoder shared by
+    the fuzzer's JSONL stream and the serve daemon's jobs. *)
+
+(** {1 Folding} *)
+
 val of_records : Json.t list -> t
 
 val of_lines : string list -> (t, string) result

@@ -41,35 +41,18 @@ type t = {
   c_coverage : Coverage.t;
 }
 
-let string_member key j =
-  match Json.member key j with Some (Json.String s) -> s | _ -> ""
-
-let int_member key j =
-  match Json.member key j with
-  | Some (Json.Int n) -> n
-  | Some (Json.Float f) -> int_of_float f
-  | _ -> 0
-
-let float_member key j =
-  match Json.member key j with
-  | Some (Json.Float f) -> f
-  | Some (Json.Int n) -> float_of_int n
-  | _ -> 0.
-
 let opt_string_member key j =
-  match Json.member key j with
-  | Some (Json.String s) when s <> "" -> Some s
-  | _ -> None
+  match Json.string_member key j with "" -> None | s -> Some s
 
 let finding_of_json j =
   {
-    f_signature = string_member "signature" j;
-    f_case = string_member "case" j;
-    f_seed = int_member "seed" j;
-    f_outcome = string_member "outcome" j;
+    f_signature = Json.string_member "signature" j;
+    f_case = Json.string_member "case" j;
+    f_seed = Json.int_member "seed" j;
+    f_outcome = Json.string_member "outcome" j;
     f_log = opt_string_member "log" j;
     f_minimized = opt_string_member "minimized" j;
-    f_run_index = int_member "run_index" j;
+    f_run_index = Json.int_member "run_index" j;
     f_count = 1;
   }
 
@@ -87,7 +70,7 @@ let split_stream (id, records) =
   let summary = ref None in
   List.iter
     (fun r ->
-      match string_member "type" r with
+      match Json.string_member "type" r with
       | "run" -> runs := r :: !runs
       | "finding" -> findings := finding_of_json r :: !findings
       | "coverage" -> cov := r :: !cov
@@ -107,7 +90,9 @@ let split_stream (id, records) =
 let worker_of_stream s =
   let runs_seen =
     List.length
-      (List.filter (fun r -> string_member "type" r = "run") s.s_records)
+      (List.filter
+         (fun r -> Json.string_member "type" r = "run")
+         s.s_records)
   in
   match s.s_summary with
   | None ->
@@ -123,17 +108,17 @@ let worker_of_stream s =
   | Some j ->
       {
         w_id = s.s_id;
-        w_engine = string_member "engine" j;
+        w_engine = Json.string_member "engine" j;
         w_runs =
           (* total executions (probe + hardened) when the trailer has
              them; older streams only counted hardened runs *)
-          (let n = int_member "total_runs" j in
-           let n = if n > 0 then n else int_member "hardened_runs" j in
+          (let n = Json.int_member "total_runs" j in
+           let n = if n > 0 then n else Json.int_member "hardened_runs" j in
            if n > 0 then n else runs_seen);
-        w_checks = int_member "checks" j;
-        w_check_failures = int_member "failures" j;
+        w_checks = Json.int_member "checks" j;
+        w_check_failures = Json.int_member "failures" j;
         w_findings = List.length s.s_findings;
-        w_elapsed = float_member "elapsed_sec" j;
+        w_elapsed = Json.float_member "elapsed_sec" j;
       }
 
 (* The unique-failures-vs-runs curve. Workers run concurrently, so the

@@ -62,7 +62,7 @@ type collector
 val collector : unit -> collector
 
 val probe : collector -> Race_probe.probe
-(** Install on a machine (via [Hooks.with_installed ~race]) to build the
+(** Pass as the race hook ([Hooks.bundle ~race]) to build the
     {!observed} summary as the run executes. *)
 
 val observed : collector -> observed

@@ -144,17 +144,7 @@ let to_json t : Json.t =
     @ (match t.fb_program_text with
       | None -> []
       | Some text -> [ ("program", Json.String text) ])
-    @ (match t.fb_fail_blocks with
-      | [] -> []
-      | fbs ->
-          [
-            ( "fail_blocks",
-              Json.List
-                (List.map
-                   (fun (name, site) ->
-                     Json.List [ Json.String name; Json.Int site ])
-                   fbs) );
-          ])
+    @ Jsonl.fail_blocks_fields t.fb_fail_blocks
     @ [
         ( "tail",
           Json.Obj
@@ -214,217 +204,147 @@ let to_json t : Json.t =
                t.fb_episodes) );
       ])
 
-let to_string t = Json.to_string (to_json t)
+let to_string t = Json.to_string (to_json t) ^ "\n"
 
 (* ------------------------------------------------------------------ *)
-(* Decoding                                                            *)
+(* Decoding — the codec is the bundle's only schema and validator       *)
 (* ------------------------------------------------------------------ *)
 
 let ( let* ) = Result.bind
 
-let field name j =
-  match Json.member name j with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "bundle: missing %S field" name)
+let check ok fmt =
+  Printf.ksprintf (fun msg -> if ok then Ok () else Error msg) fmt
 
-let str name j =
-  match Json.member name j with
-  | Some (Json.String s) -> Ok s
-  | _ -> Error (Printf.sprintf "bundle: malformed %S field" name)
+let nonempty name j =
+  let* s = Json.string_field name j in
+  if s = "" then Error (Printf.sprintf "empty %S field" name) else Ok s
 
-let int name j =
-  match Json.member name j with
-  | Some (Json.Int n) -> Ok n
-  | _ -> Error (Printf.sprintf "bundle: malformed %S field" name)
+let is_md5 d =
+  String.length d = 32
+  && String.for_all (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false) d
 
-let bool name j =
-  match Json.member name j with
-  | Some (Json.Bool b) -> Ok b
-  | _ -> Error (Printf.sprintf "bundle: malformed %S field" name)
+let decode_thread j =
+  let* tid = Json.int_field "tid" j in
+  let* status = nonempty "status" j in
+  let* locks = Json.string_list_field "locks" j in
+  let* () = check (tid >= 0) "negative thread id %d" tid in
+  Ok (tid, status, locks)
 
-let int_list name j =
-  match Json.member name j with
-  | Some (Json.List l) ->
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | Json.Int n :: rest -> go (n :: acc) rest
-        | _ -> Error (Printf.sprintf "bundle: malformed %S field" name)
-      in
-      go [] l
-  | _ -> Error (Printf.sprintf "bundle: malformed %S field" name)
+let decode_event j =
+  let* bv_kind = nonempty "ev" j in
+  let* bv_step = Json.int_field "step" j in
+  let* bv_tid = Json.int_field "tid" j in
+  let* bv_arg = Json.int_field "arg" j in
+  let* bv_detail = Json.string_field "detail" j in
+  Ok { bv_kind; bv_step; bv_tid; bv_arg; bv_detail }
 
-let str_list name j =
-  match Json.member name j with
-  | Some (Json.List l) ->
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | Json.String s :: rest -> go (s :: acc) rest
-        | _ -> Error (Printf.sprintf "bundle: malformed %S field" name)
-      in
-      go [] l
-  | _ -> Error (Printf.sprintf "bundle: malformed %S field" name)
+let decode_episode j =
+  let* be_site = Json.int_field "site" j in
+  let* be_tid = Json.int_field "tid" j in
+  let* be_start = Json.int_field "start" j in
+  let* be_end = Json.int_field "end" j in
+  let* be_retries = Json.int_field "retries" j in
+  let* () =
+    check (be_end >= be_start) "episode ends at %d before it starts at %d"
+      be_end be_start
+  in
+  Ok { be_site; be_tid; be_start; be_end; be_retries }
 
-let obj_list name decode j =
-  match Json.member name j with
-  | Some (Json.List l) ->
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | item :: rest ->
-            let* v = decode item in
-            go (v :: acc) rest
-      in
-      go [] l
-  | _ -> Error (Printf.sprintf "bundle: malformed %S field" name)
+let decode (j : Json.t) : (t, string) result =
+  let* ty = Json.string_field "type" j in
+  let* () = check (ty = "flight_bundle") "not a flight_bundle document" in
+  let* v = Json.int_field "version" j in
+  let* () = check (v = version) "unsupported version %d" v in
+  let* fb_app = nonempty "app" j in
+  let* fb_variant = nonempty "variant" j in
+  let* fb_oracle = Json.bool_field "oracle" j in
+  let* fb_mode = nonempty "mode" j in
+  let* fb_engine = nonempty "engine" j in
+  let* fb_reason = nonempty "reason" j in
+  let* fb_config = Result.bind (Json.field "config" j) Jsonl.config_of_json in
+  let* () = check (fb_config.Machine.fuel > 0) "config fuel is not positive" in
+  let* fb_program_md5 = Json.string_field "program_md5" j in
+  let* () =
+    check (is_md5 fb_program_md5) "\"program_md5\" is not an MD5 digest"
+  in
+  let* fb_program_text = Json.string_opt_field "program" j in
+  let* () =
+    match fb_program_text with
+    | Some text ->
+        check
+          (Digest.to_hex (Digest.string text) = fb_program_md5)
+          "embedded program does not hash to program_md5"
+    | None -> Ok ()
+  in
+  let* fb_fail_blocks = Jsonl.fail_blocks_of_json j in
+  let* tail_j = Json.field "tail" j in
+  let* first = Json.int_field "first" tail_j in
+  let* total = Json.int_field "total" tail_j in
+  let* () =
+    check (0 <= first && first <= total)
+      "tail window first %d, total %d is not 0 <= first <= total" first total
+  in
+  let* preemptions = Json.int_list_field "preemptions" tail_j in
+  let* () = Jsonl.check_preemptions ~first ~total preemptions in
+  let* chunks = Json.list_field "chunks" Jsonl.sched_chunk_decisions tail_j in
+  let fb_tail = Array.of_list (List.concat chunks) in
+  let* () =
+    check
+      (Array.length fb_tail = total - first)
+      "tail chunks carry %d decisions, total - first says %d"
+      (Array.length fb_tail) (total - first)
+  in
+  let* trailer_j = Json.field "trailer" j in
+  let* fb_steps = Json.int_field "steps" trailer_j in
+  let* fb_instrs = Json.int_field "instrs" trailer_j in
+  let* fb_rollbacks = Json.int_field "rollbacks" trailer_j in
+  let* () =
+    check
+      (fb_steps >= 0 && fb_instrs >= 0 && fb_rollbacks >= 0)
+      "negative trailer count"
+  in
+  let* fb_outcome =
+    Result.bind (Json.field "outcome" trailer_j) Report.outcome_of_json
+  in
+  let* fb_outputs = Json.string_list_field "outputs" trailer_j in
+  let* fb_threads = Json.list_field "threads" decode_thread j in
+  let* fb_events = Json.list_field "events" decode_event j in
+  let* fb_episodes = Json.list_field "episodes" decode_episode j in
+  Ok
+    {
+      fb_app;
+      fb_variant;
+      fb_oracle;
+      fb_mode;
+      fb_engine;
+      fb_reason;
+      fb_config;
+      fb_program_md5;
+      fb_program_text;
+      fb_fail_blocks;
+      fb_tail_first = first;
+      fb_tail_total = total;
+      fb_tail;
+      fb_tail_preemptions = Array.of_list preemptions;
+      fb_steps;
+      fb_instrs;
+      fb_rollbacks;
+      fb_outcome;
+      fb_outputs;
+      fb_threads;
+      fb_events;
+      fb_episodes;
+    }
 
-let of_json (j : Json.t) : (t, string) result =
-  let* ty = str "type" j in
-  if ty <> "flight_bundle" then Error "bundle: not a flight_bundle document"
-  else
-    let* v = int "version" j in
-    if v > version then Error (Printf.sprintf "bundle: unsupported version %d" v)
-    else
-      let* app = str "app" j in
-      let* variant = str "variant" j in
-      let* oracle = bool "oracle" j in
-      let* mode = str "mode" j in
-      let* engine = str "engine" j in
-      let* reason = str "reason" j in
-      let* config_j = field "config" j in
-      let* config = Jsonl.config_of_json config_j in
-      let* program_md5 = str "program_md5" j in
-      let program_text =
-        match Json.member "program" j with
-        | Some (Json.String text) -> Some text
-        | _ -> None
-      in
-      let* fail_blocks =
-        match Json.member "fail_blocks" j with
-        | None -> Ok []
-        | Some (Json.List l) ->
-            let rec go acc = function
-              | [] -> Ok (List.rev acc)
-              | Json.List [ Json.String name; Json.Int site ] :: rest ->
-                  go ((name, site) :: acc) rest
-              | _ -> Error "bundle: malformed \"fail_blocks\" field"
-            in
-            go [] l
-        | Some _ -> Error "bundle: malformed \"fail_blocks\" field"
-      in
-      let* tail_j = field "tail" j in
-      let* tail_first = int "first" tail_j in
-      let* tail_total = int "total" tail_j in
-      let* tail_preempts = int_list "preemptions" tail_j in
-      let* tail =
-        match Json.member "chunks" tail_j with
-        | Some (Json.List chunks) ->
-            let rec go acc = function
-              | [] -> Ok (List.rev acc)
-              | chunk :: rest -> (
-                  match Json.member "type" chunk with
-                  | Some (Json.String "sched_chunk") ->
-                      let* d = Jsonl.sched_chunk_decisions chunk in
-                      go (List.rev_append d acc) rest
-                  | _ -> Error "bundle: tail chunk is not a sched_chunk record")
-            in
-            go [] chunks
-        | _ -> Error "bundle: malformed \"chunks\" field"
-      in
-      let* trailer_j = field "trailer" j in
-      let* steps = int "steps" trailer_j in
-      let* instrs = int "instrs" trailer_j in
-      let* rollbacks = int "rollbacks" trailer_j in
-      let* outcome_j = field "outcome" trailer_j in
-      let* outcome = Report.outcome_of_json outcome_j in
-      let* outputs = str_list "outputs" trailer_j in
-      let* threads =
-        obj_list "threads"
-          (fun tj ->
-            let* tid = int "tid" tj in
-            let* status = str "status" tj in
-            let* locks = str_list "locks" tj in
-            Ok (tid, status, locks))
-          j
-      in
-      let* events =
-        obj_list "events"
-          (fun ej ->
-            let* kind = str "ev" ej in
-            let* step = int "step" ej in
-            let* tid = int "tid" ej in
-            let* arg = int "arg" ej in
-            let* detail = str "detail" ej in
-            Ok
-              {
-                bv_kind = kind;
-                bv_step = step;
-                bv_tid = tid;
-                bv_arg = arg;
-                bv_detail = detail;
-              })
-          j
-      in
-      let* episodes =
-        obj_list "episodes"
-          (fun ej ->
-            let* site = int "site" ej in
-            let* tid = int "tid" ej in
-            let* start = int "start" ej in
-            let* end_ = int "end" ej in
-            let* retries = int "retries" ej in
-            Ok
-              {
-                be_site = site;
-                be_tid = tid;
-                be_start = start;
-                be_end = end_;
-                be_retries = retries;
-              })
-          j
-      in
-      Ok
-        {
-          fb_app = app;
-          fb_variant = variant;
-          fb_oracle = oracle;
-          fb_mode = mode;
-          fb_engine = engine;
-          fb_reason = reason;
-          fb_config = config;
-          fb_program_md5 = program_md5;
-          fb_program_text = program_text;
-          fb_fail_blocks = fail_blocks;
-          fb_tail_first = tail_first;
-          fb_tail_total = tail_total;
-          fb_tail = Array.of_list tail;
-          fb_tail_preemptions = Array.of_list tail_preempts;
-          fb_steps = steps;
-          fb_instrs = instrs;
-          fb_rollbacks = rollbacks;
-          fb_outcome = outcome;
-          fb_outputs = outputs;
-          fb_threads = threads;
-          fb_events = events;
-          fb_episodes = episodes;
-        }
+let of_json j = Result.map_error (fun e -> "bundle: " ^ e) (decode j)
 
 let of_string s =
-  let* j = Json.of_string s in
+  let* j = Result.map_error (fun e -> "bundle: " ^ e) (Json.of_string s) in
   of_json j
 
-let save t file =
-  let oc = open_out file in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (to_string t);
-      output_char oc '\n')
+let save t file = Jsonl.write_file file (to_string t)
 
 let load file =
-  match
-    let ic = open_in file in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> In_channel.input_all ic)
-  with
+  match In_channel.with_open_text file In_channel.input_all with
   | text -> of_string (String.trim text)
   | exception Sys_error e -> Error ("bundle: " ^ e)

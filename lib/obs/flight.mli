@@ -86,11 +86,22 @@ val of_ring :
     retained events; everything else comes from the caller. *)
 
 val to_json : t -> Json.t
+
 val to_string : t -> string
+(** The on-disk encoding: one compact JSON line plus a newline. *)
+
 val of_json : Json.t -> (t, string) result
+(** The bundle's only schema and validator. Besides field types it
+    rejects an embedded program that does not hash to [program_md5], a
+    tail window outside [0 <= first <= total], a tail that does not hold
+    exactly [total - first] decisions, preemption ordinals that are not
+    strictly ascending inside [\[first, total)], and an episode that
+    ends before it starts — so no consumer of a decoded bundle has to
+    re-check them. *)
+
 val of_string : string -> (t, string) result
 
 val save : t -> string -> unit
-(** Write as a single JSON line plus newline. *)
+(** Write [to_string] atomically (temp file + rename). *)
 
 val load : string -> (t, string) result

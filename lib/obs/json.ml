@@ -309,6 +309,76 @@ let member key = function
   | Obj fields -> List.assoc_opt key fields
   | _ -> None
 
+(* Strict field decoders. The artifact codecs (schedule logs, flight
+   bundles) are their own validators, so a missing or mistyped member
+   is an [Error] naming it, never a default. *)
+
+let ( let* ) = Result.bind
+
+let field name j =
+  match member name j with
+  | Some v -> Ok v
+  | None -> Error (Printf.sprintf "missing %S field" name)
+
+let list_field name decode j =
+  match member name j with
+  | Some (List l) ->
+      let rec go acc = function
+        | [] -> Ok (List.rev acc)
+        | item :: rest ->
+            let* v = decode item in
+            go (v :: acc) rest
+      in
+      go [] l
+  | _ -> Error (Printf.sprintf "malformed %S field" name)
+
+let typed name decode j =
+  match member name j with
+  | Some v -> (
+      match decode v with
+      | Some x -> Ok x
+      | None -> Error (Printf.sprintf "malformed %S field" name))
+  | None -> Error (Printf.sprintf "missing %S field" name)
+
+let as_string = function String s -> Some s | _ -> None
+let as_int = function Int n -> Some n | _ -> None
+
+let as_list decode = function
+  | List l ->
+      let items = List.filter_map decode l in
+      if List.compare_lengths items l = 0 then Some items else None
+  | _ -> None
+
+let string_field name = typed name as_string
+let int_field name = typed name as_int
+let bool_field name = typed name (function Bool b -> Some b | _ -> None)
+let int_list_field name = typed name (as_list as_int)
+let string_list_field name = typed name (as_list as_string)
+
+let string_opt_field name j =
+  match member name j with
+  | None -> Ok None
+  | Some _ -> Result.map Option.some (string_field name j)
+
+(* Lenient member readers, for folds over record streams (aggregates,
+   campaign reports, protocol frames) that default what they cannot
+   read instead of rejecting the stream. *)
+
+let string_member key j =
+  match member key j with Some (String s) -> s | _ -> ""
+
+let int_member key j =
+  match member key j with
+  | Some (Int n) -> n
+  | Some (Float f) -> int_of_float f
+  | _ -> 0
+
+let float_member key j =
+  match member key j with
+  | Some (Float f) -> f
+  | Some (Int n) -> float_of_int n
+  | _ -> 0.
+
 let rec equal a b =
   match (a, b) with
   | Obj xs, Obj ys ->

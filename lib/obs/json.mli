@@ -33,6 +33,38 @@ val of_string : string -> (t, string) result
 val member : string -> t -> t option
 (** [member key (Obj ...)] — [None] on missing key or non-object. *)
 
+(** {1 Strict field decoders}
+
+    The artifact codecs decode with these, so a missing or mistyped
+    member is an [Error] naming the field ("missing/malformed \"name\"
+    field"); callers prefix the artifact kind. *)
+
+val field : string -> t -> (t, string) result
+val string_field : string -> t -> (string, string) result
+val int_field : string -> t -> (int, string) result
+val bool_field : string -> t -> (bool, string) result
+val int_list_field : string -> t -> (int list, string) result
+val string_list_field : string -> t -> (string list, string) result
+
+val string_opt_field : string -> t -> (string option, string) result
+(** [Ok None] when absent; a present member must be a string. *)
+
+val list_field :
+  string -> (t -> ('a, string) result) -> t -> ('a list, string) result
+(** A list member, each element decoded by the given function; the
+    first element error is the result. *)
+
+(** {1 Lenient member readers}
+
+    For folds over record streams that default what they cannot read:
+    [""] / [0] / [0.] on a missing or mistyped member. The numeric
+    readers accept either JSON number form ([int_member] truncates a
+    float). *)
+
+val string_member : string -> t -> string
+val int_member : string -> t -> int
+val float_member : string -> t -> float
+
 val equal : t -> t -> bool
 (** Structural equality with order-insensitive object comparison
     (duplicate keys compare positionally after sorting). *)

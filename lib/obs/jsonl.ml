@@ -177,30 +177,83 @@ let event_line ev = Json.to_string (event_json ev)
 
 let sched_chunk_size = 4096
 
-let sched_chunk_json (d : int array) ~pos ~len : Json.t =
-  Json.Obj
-    [
-      ("type", Json.String "sched_chunk");
-      ("d", Json.List (List.init len (fun i -> Json.Int d.(pos + i))));
-    ]
-
 let sched_chunks (d : int array) : Json.t list =
   let n = Array.length d in
   let rec go pos acc =
     if pos >= n then List.rev acc
     else
       let len = min sched_chunk_size (n - pos) in
-      go (pos + len) (sched_chunk_json d ~pos ~len :: acc)
+      let chunk =
+        Json.Obj
+          [
+            ("type", Json.String "sched_chunk");
+            ("d", Json.List (List.init len (fun i -> Json.Int d.(pos + i))));
+          ]
+      in
+      go (pos + len) (chunk :: acc)
   in
   go 0 []
 
 let sched_chunk_decisions (j : Json.t) : (int list, string) result =
-  match Json.member "d" j with
-  | Some (Json.List l) -> (
-      try
-        Ok (List.map (function Json.Int n -> n | _ -> raise Exit) l)
-      with Exit -> Error "sched_chunk: malformed \"d\" field")
-  | _ -> Error "sched_chunk: malformed \"d\" field"
+  match Json.member "type" j with
+  | Some (Json.String "sched_chunk") -> Json.int_list_field "d" j
+  | _ -> Error "not a sched_chunk record"
+
+(* Preemption ordinals index the decision stream: strictly ascending
+   inside the window [first, total) the stream covers. *)
+let check_preemptions ~first ~total ps =
+  let rec go prev = function
+    | [] -> Ok ()
+    | p :: rest ->
+        if p <= prev || p >= total then
+          Error
+            (Printf.sprintf
+               "preemption ordinal %d is not strictly ascending inside [%d, \
+                %d)"
+               p first total)
+        else go p rest
+  in
+  go (first - 1) ps
+
+(* --- the fail-block table --------------------------------------------
+
+   A hardened program's recovery metadata as (fail-arm label, site id)
+   pairs, the optional {"fail_blocks":[["name",site],...]} member of
+   schedule-log headers and flight bundles; omitted when empty. *)
+
+let fail_blocks_fields = function
+  | [] -> []
+  | fbs ->
+      [
+        ( "fail_blocks",
+          Json.List
+            (List.map
+               (fun (name, site) ->
+                 Json.List [ Json.String name; Json.Int site ])
+               fbs) );
+      ]
+
+let fail_blocks_of_json (j : Json.t) : ((string * int) list, string) result =
+  match Json.member "fail_blocks" j with
+  | None -> Ok []
+  | Some _ ->
+      Json.list_field "fail_blocks"
+        (function
+          | Json.List [ Json.String name; Json.Int site ] -> Ok (name, site)
+          | _ -> Error "malformed \"fail_blocks\" field")
+        j
+
+(* Replace [path] atomically: write a sibling temp file, then rename it
+   over the target, so a reader never sees a half-written artifact. *)
+let write_file path contents =
+  let tmp = path ^ ".tmp" in
+  match
+    Out_channel.with_open_text tmp (fun oc -> output_string oc contents)
+  with
+  | () -> Sys.rename tmp path
+  | exception e ->
+      (try Sys.remove tmp with Sys_error _ -> ());
+      raise e
 
 type writer = { write : string -> unit }
 

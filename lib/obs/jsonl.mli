@@ -62,15 +62,38 @@ val event_line : Trace.event -> string
 val sched_chunk_size : int
 (** Decisions per chunk (4096). *)
 
-val sched_chunk_json : int array -> pos:int -> len:int -> Json.t
-(** One chunk covering [d.(pos) .. d.(pos+len-1)]. *)
-
 val sched_chunks : int array -> Json.t list
 (** The whole decision array, split into [sched_chunk_size]-sized
     chunks, in order. Empty input yields no chunks. *)
 
 val sched_chunk_decisions : Json.t -> (int list, string) result
-(** Decode one chunk object's decision list. *)
+(** Decode one chunk record's decision list; [Error] unless it is a
+    well-formed ["sched_chunk"]. *)
+
+val check_preemptions :
+  first:int -> total:int -> int list -> (unit, string) result
+(** [Error] unless the preemption ordinals are strictly ascending inside
+    [\[first, total)] — the window of decisions the stream covers. *)
+
+(** {1 Fail-block tables}
+
+    A hardened program's recovery metadata as (fail-arm label name,
+    site id) pairs — the optional ["fail_blocks"] member shared by
+    schedule-log headers and flight bundles. *)
+
+val fail_blocks_fields : (string * int) list -> (string * Json.t) list
+(** The member to splice into an object: none when the table is empty. *)
+
+val fail_blocks_of_json : Json.t -> ((string * int) list, string) result
+(** Read the optional member of an object; absent means empty. *)
+
+(** {1 Files} *)
+
+val write_file : string -> string -> unit
+(** [write_file path contents] replaces [path] atomically: the contents
+    go to [path ^ ".tmp"], which is then renamed over [path]. Every
+    artifact writer (schedule logs, bundles, reports, metrics) uses it,
+    so a reader never sees a half-written file. *)
 
 (** A line-oriented writer: [write] receives complete JSON lines
     (newline excluded). Writers for channels and buffers are provided. *)

@@ -47,9 +47,8 @@ type directed = {
 }
 
 val directed : directive list -> directed
-(** Fresh feed state without touching any scheduler — pair
-    [directed_decide] with [Hooks.with_installed ~feed] for scoped
-    installation. *)
+(** Fresh feed state without touching any scheduler — pass
+    [directed_decide] as the feed hook ([Hooks.bundle ~feed]). *)
 
 val directed_decide : directed -> eligible:int list -> int
 val attach_directed : Sched.t -> directive list -> directed

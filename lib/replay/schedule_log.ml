@@ -105,18 +105,7 @@ let meta_json t =
     @ (match t.program_text with
       | None -> []
       | Some text -> [ ("program", Json.String text) ])
-    @
-    match t.fail_blocks with
-    | [] -> []
-    | fbs ->
-        [
-          ( "fail_blocks",
-            Json.List
-              (List.map
-                 (fun (name, site) ->
-                   Json.List [ Json.String name; Json.Int site ])
-                 fbs) );
-        ])
+    @ Jsonl.fail_blocks_fields t.fail_blocks)
 
 let end_json t =
   Json.Obj
@@ -135,103 +124,47 @@ let to_lines t =
   List.map Json.to_string
     ((meta_json t :: Jsonl.sched_chunks t.decisions) @ [ end_json t ])
 
-let save t file =
-  let oc = open_out file in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      List.iter
-        (fun line ->
-          output_string oc line;
-          output_char oc '\n')
-        (to_lines t))
+let to_string t =
+  String.concat "" (List.map (fun line -> line ^ "\n") (to_lines t))
+
+let save t file = Jsonl.write_file file (to_string t)
 
 (* ------------------------------------------------------------------ *)
-(* Decoding                                                            *)
+(* Decoding — the codec is the log's only schema and validator          *)
 (* ------------------------------------------------------------------ *)
 
 let ( let* ) = Result.bind
 
-let field name j =
-  match Json.member name j with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "schedule log: missing %S field" name)
-
-let str name j =
-  match Json.member name j with
-  | Some (Json.String s) -> Ok s
-  | _ -> Error (Printf.sprintf "schedule log: malformed %S field" name)
-
-let int name j =
-  match Json.member name j with
-  | Some (Json.Int n) -> Ok n
-  | _ -> Error (Printf.sprintf "schedule log: malformed %S field" name)
-
-let bool name j =
-  match Json.member name j with
-  | Some (Json.Bool b) -> Ok b
-  | _ -> Error (Printf.sprintf "schedule log: malformed %S field" name)
-
-let int_list name j =
-  match Json.member name j with
-  | Some (Json.List l) ->
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | Json.Int n :: rest -> go (n :: acc) rest
-        | _ -> Error (Printf.sprintf "schedule log: malformed %S field" name)
-      in
-      go [] l
-  | _ -> Error (Printf.sprintf "schedule log: malformed %S field" name)
-
-let line_type j =
-  match Json.member "type" j with Some (Json.String s) -> s | _ -> ""
+let line_type = Json.string_member "type"
 
 let parse_meta j =
-  let* v = int "version" j in
-  if v > version then
-    Error (Printf.sprintf "schedule log: unsupported version %d" v)
+  let* v = Json.int_field "version" j in
+  if v > version then Error (Printf.sprintf "unsupported version %d" v)
   else
-    let* app = str "app" j in
-    let* variant = str "variant" j in
-    let* oracle = bool "oracle" j in
-    let* mode = str "mode" j in
-    let* engine = str "engine" j in
-    let* config_j = field "config" j in
-    let* config = Jsonl.config_of_json config_j in
-    let* program_md5 = str "program_md5" j in
-    let program_text =
-      match Json.member "program" j with
-      | Some (Json.String text) -> Some text
-      | _ -> None
-    in
-    let* fail_blocks =
-      match Json.member "fail_blocks" j with
-      | None -> Ok []
-      | Some (Json.List l) ->
-          let rec go acc = function
-            | [] -> Ok (List.rev acc)
-            | Json.List [ Json.String name; Json.Int site ] :: rest ->
-                go ((name, site) :: acc) rest
-            | _ -> Error "schedule log: malformed \"fail_blocks\" field"
-          in
-          go [] l
-      | Some _ -> Error "schedule log: malformed \"fail_blocks\" field"
-    in
+    let* id_app = Json.string_field "app" j in
+    let* id_variant = Json.string_field "variant" j in
+    let* id_oracle = Json.bool_field "oracle" j in
+    let* id_mode = Json.string_field "mode" j in
+    let* engine = Json.string_field "engine" j in
+    let* config = Result.bind (Json.field "config" j) Jsonl.config_of_json in
+    let* program_md5 = Json.string_field "program_md5" j in
+    let* program_text = Json.string_opt_field "program" j in
+    let* fail_blocks = Jsonl.fail_blocks_of_json j in
     Ok
-      ( { id_app = app; id_variant = variant; id_oracle = oracle; id_mode = mode },
+      ( { id_app; id_variant; id_oracle; id_mode },
         engine,
         config,
         program_md5,
         program_text,
         fail_blocks )
 
-let of_lines lines =
+let decode_lines lines =
   match lines with
-  | [] -> Error "schedule log: empty"
+  | [] -> Error "empty"
   | meta_line :: rest ->
       let* meta_j = Json.of_string meta_line in
       if line_type meta_j <> "sched_meta" then
-        Error "schedule log: first line is not a sched_meta record"
+        Error "first line is not a sched_meta record"
       else
         let* ident, engine, config, program_md5, program_text, fail_blocks =
           parse_meta meta_j
@@ -249,7 +182,7 @@ let of_lines lines =
           incr n
         in
         let rec walk = function
-          | [] -> Error "schedule log: missing sched_end record"
+          | [] -> Error "missing sched_end record"
           | line :: rest -> (
               let* j = Json.of_string line in
               match line_type j with
@@ -258,36 +191,27 @@ let of_lines lines =
                   List.iter push d;
                   walk rest
               | "sched_end" ->
-                  if rest <> [] then
-                    Error "schedule log: lines after the sched_end record"
+                  if rest <> [] then Error "lines after the sched_end record"
                   else
-                    let* count = int "decisions" j in
+                    let* count = Json.int_field "decisions" j in
                     if count <> !n then
                       Error
                         (Printf.sprintf
-                           "schedule log: sched_end declares %d decisions, \
-                            chunks carry %d"
+                           "sched_end declares %d decisions, chunks carry %d"
                            count !n)
                     else
-                      let* preempts = int_list "preemptions" j in
-                      let* steps = int "steps" j in
-                      let* instrs = int "instrs" j in
-                      let* rollbacks = int "rollbacks" j in
-                      let* outcome_j = field "outcome" j in
-                      let* outcome = Report.outcome_of_json outcome_j in
-                      let* outputs =
-                        match Json.member "outputs" j with
-                        | Some (Json.List l) ->
-                            let rec go acc = function
-                              | [] -> Ok (List.rev acc)
-                              | Json.String s :: rest -> go (s :: acc) rest
-                              | _ ->
-                                  Error
-                                    "schedule log: malformed \"outputs\" field"
-                            in
-                            go [] l
-                        | _ -> Error "schedule log: malformed \"outputs\" field"
+                      let* preempts = Json.int_list_field "preemptions" j in
+                      let* () =
+                        Jsonl.check_preemptions ~first:0 ~total:!n preempts
                       in
+                      let* steps = Json.int_field "steps" j in
+                      let* instrs = Json.int_field "instrs" j in
+                      let* rollbacks = Json.int_field "rollbacks" j in
+                      let* outcome =
+                        Result.bind (Json.field "outcome" j)
+                          Report.outcome_of_json
+                      in
+                      let* outputs = Json.string_list_field "outputs" j in
                       Ok
                         {
                           ident;
@@ -304,26 +228,14 @@ let of_lines lines =
                           outcome;
                           outputs;
                         }
-              | other ->
-                  Error
-                    (Printf.sprintf "schedule log: unexpected %S record" other))
+              | other -> Error (Printf.sprintf "unexpected %S record" other))
         in
         walk rest
 
+let of_lines lines =
+  Result.map_error (fun e -> "schedule log: " ^ e) (decode_lines lines)
+
 let load file =
-  match
-    let ic = open_in file in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        let lines = ref [] in
-        (try
-           while true do
-             let line = input_line ic in
-             if String.trim line <> "" then lines := line :: !lines
-           done
-         with End_of_file -> ());
-        List.rev !lines)
-  with
-  | lines -> of_lines lines
+  match In_channel.with_open_text file In_channel.input_lines with
+  | lines -> of_lines (List.filter (fun l -> String.trim l <> "") lines)
   | exception Sys_error e -> Error ("schedule log: " ^ e)

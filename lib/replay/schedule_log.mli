@@ -66,7 +66,16 @@ val program : t -> (Program.t, string) result
 val to_lines : t -> string list
 (** The JSONL serialization, one element per line (no newlines). *)
 
+val to_string : t -> string
+(** The on-disk encoding: [to_lines], each newline-terminated. *)
+
 val of_lines : string list -> (t, string) result
+(** The log's only schema and validator: record order, integer decision
+    chunks, a trailer whose count matches, and preemption ordinals
+    strictly ascending inside [\[0, decisions)]. *)
 
 val save : t -> string -> unit
+(** Write [to_string] atomically (temp file + rename). *)
+
 val load : string -> (t, string) result
+(** Read a file and decode it with [of_lines] (blank lines skipped). *)

@@ -33,8 +33,7 @@ val machine : t -> Machine.t
 (** The underlying machine state (shared, not a copy). *)
 
 val hooks : t -> Hooks.target
-(** The machine's six hook slots, bundled for [Hooks.install] and the
-    [Hooks.with_installed] compatibility shim. *)
+(** The machine's six hook slots, bundled for [Hooks.install]. *)
 
 val outputs : t -> string list
 (** In emission order. *)

@@ -37,8 +37,7 @@ val create :
   t ->
   Program.t ->
   machine
-(** [hooks] attaches the run's observation hooks at construction — the
-    re-entrant alternative to [Hooks.with_installed]; see
+(** [hooks] attaches the run's observation hooks at construction; see
     [Machine.create]. *)
 
 val engine_of : machine -> t
@@ -51,8 +50,7 @@ val outcome : machine -> Outcome.t option
 val sched : machine -> Sched.t
 
 val hooks : machine -> Hooks.target
-(** The machine's six hook slots, for [Hooks.install] and the
-    [Hooks.with_installed] compatibility shim. *)
+(** The machine's six hook slots, for [Hooks.install]. *)
 
 val thread_summaries : machine -> (int * string * string list) list
 (** [Machine.thread_summaries] on whichever engine — byte-identical

@@ -22,9 +22,8 @@
    their decisions in bulk (see [Flight_ring.push_run]), which is what
    makes the recorder cheap enough to leave on everywhere.
 
-   [with_installed] survives as a compatibility shim for the scoped
-   post-create style (and for the rare self-referential hook that needs
-   the machine in scope before it can be built — see [install]). *)
+   [install] remains for the rare self-referential hook that needs the
+   machine in scope before it can be built. *)
 
 type target = {
   ht_trace : Trace.sink option -> unit;
@@ -74,15 +73,3 @@ let install t b =
   match b.hb_feed with
   | None -> ()
   | Some _ -> Sched.set_feed t.ht_sched b.hb_feed
-
-let clear t =
-  t.ht_trace None;
-  t.ht_profile None;
-  t.ht_race None;
-  t.ht_flight None;
-  Sched.set_tap t.ht_sched None;
-  Sched.set_feed t.ht_sched None
-
-let with_installed t ?trace ?profile ?race ?flight ?tap ?feed f =
-  install t (bundle ?trace ?profile ?race ?flight ?tap ?feed ());
-  Fun.protect ~finally:(fun () -> clear t) f

@@ -10,11 +10,7 @@
     runs safe (no shared mutable hook slots).
 
     The flight slot is the one hook that does {e not} force the block
-    engine onto the generic step loop — see {!Flight_ring}.
-
-    {!with_installed} remains as a compatibility shim for the older
-    scoped post-create style; it clears all six slots on the way out
-    via [Fun.protect]. *)
+    engine onto the generic step loop — see {!Flight_ring}. *)
 
 (** The six hook slots of one engine instance, bundled as setters.
     Obtain one from [Machine.hooks], [Ref_machine.hooks],
@@ -58,20 +54,3 @@ val install : target -> bundle -> unit
     untouched. The escape hatch for self-referential hooks — a feed or
     tap that must capture the machine it observes is necessarily built
     after [create], and installs itself here. *)
-
-val clear : target -> unit
-(** Uninstall all six hooks. *)
-
-val with_installed :
-  target ->
-  ?trace:Trace.sink ->
-  ?profile:Profile.probe ->
-  ?race:Race_probe.probe ->
-  ?flight:Flight_ring.t ->
-  ?tap:(chosen:int -> eligible:int list -> unit) ->
-  ?feed:(eligible:int list -> int) ->
-  (unit -> 'a) ->
-  'a
-(** Compatibility shim: install the given hooks, run the body, then
-    {!clear} — on normal return and on exception alike. New code should
-    pass a {!bundle} to [create] instead. *)

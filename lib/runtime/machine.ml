@@ -220,8 +220,7 @@ let create ?(config = default_config) ?meta ?(hooks = Hooks.none)
 let outputs m = List.rev m.outputs
 let stats m = m.stats
 
-(** The machine's six hook slots, bundled for [Hooks.install] and the
-    [Hooks.with_installed] compatibility shim. *)
+(** The machine's six hook slots, bundled for [Hooks.install]. *)
 let hooks m =
   {
     Hooks.ht_trace = (fun s -> m.trace <- s);

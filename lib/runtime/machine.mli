@@ -137,8 +137,7 @@ val run_program : ?config:config -> ?meta:meta -> Program.t -> t * Outcome.t
 val hooks : t -> Hooks.target
 (** The machine's six hook slots (trace, profile, race, flight, sched
     tap/feed), bundled for [Hooks.install] — the escape hatch for
-    self-referential hooks — and the [Hooks.with_installed]
-    compatibility shim. *)
+    self-referential hooks. *)
 
 (** {1 Engine internals}
 

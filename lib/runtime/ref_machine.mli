@@ -32,8 +32,7 @@ val sched : t -> Sched.t
     hooks ({!Sched.set_tap}, {!Sched.set_feed}). *)
 
 val hooks : t -> Hooks.target
-(** The machine's six hook slots, bundled for [Hooks.install] and the
-    [Hooks.with_installed] compatibility shim. *)
+(** The machine's six hook slots, bundled for [Hooks.install]. *)
 
 val stats : t -> Stats.t
 val outcome : t -> Outcome.t option

@@ -18,7 +18,6 @@ module Jsonl = Conair_obs.Jsonl
 module Span = Conair_obs.Span
 module Aggregate = Conair_obs.Aggregate
 module Outcome = Conair_runtime.Outcome
-module Stats = Conair_runtime.Stats
 module Machine = Conair_runtime.Machine
 module Engine = Conair_runtime.Engine
 module Sched = Conair_runtime.Sched
@@ -92,57 +91,6 @@ let mode_of ~(inst : Spec.instance) = function
       else Ok (Some (Conair.Fix inst.Spec.fix_site_iids))
   | m -> Error (Printf.sprintf "unknown mode %S" m)
 
-(* The same per-run record the fuzzer streams — [Aggregate]'s input
-   vocabulary — so the daemon's per-tenant aggregates and a fuzz log
-   fold identically. *)
-let outcome_tag (o : Outcome.t) =
-  match o with
-  | Outcome.Success -> "success"
-  | Outcome.Failed _ -> "failed"
-  | Outcome.Hang _ -> "hang"
-  | Outcome.Fuel_exhausted _ -> "fuel-exhausted"
-
-let site_rollup (s : Stats.t) =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun (e : Stats.episode) ->
-      let eps, rts, stp =
-        Option.value ~default:(0, 0, 0) (Hashtbl.find_opt tbl e.ep_site_id)
-      in
-      Hashtbl.replace tbl e.ep_site_id
-        (eps + 1, rts + e.ep_retries, stp + Stats.episode_duration e))
-    (Stats.episodes_chronological s);
-  Hashtbl.fold (fun id v acc -> (id, v) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-let run_record ~case ~seed (r : Conair.run) =
-  let episodes = Stats.episodes_chronological r.stats in
-  Json.Obj
-    [
-      ("type", Json.String "run");
-      ("case", Json.String case);
-      ("seed", Json.Int seed);
-      ("outcome", Json.String (outcome_tag r.outcome));
-      ("steps", Json.Int r.stats.steps);
-      ("instrs", Json.Int r.stats.instrs);
-      ("rollbacks", Json.Int r.stats.rollbacks);
-      ("episodes", Json.Int (List.length episodes));
-      ("retries", Json.Int (Stats.total_retries r.stats));
-      ("max_episode_steps", Json.Int (Stats.max_recovery_time r.stats));
-      ( "sites",
-        Json.List
-          (List.map
-             (fun (id, (eps, rts, stp)) ->
-               Json.Obj
-                 [
-                   ("site", Json.Int id);
-                   ("episodes", Json.Int eps);
-                   ("retries", Json.Int rts);
-                   ("steps", Json.Int stp);
-                 ])
-             (site_rollup r.stats)) );
-    ]
-
 (* --- the job kinds ------------------------------------------------- *)
 
 let exec_run ~telemetry ~target ~mode ~(exec : Protocol.exec) =
@@ -208,7 +156,12 @@ let exec_run ~telemetry ~target ~mode ~(exec : Protocol.exec) =
             jr_exit =
               (if Outcome.is_success rr.Conair.run.outcome then 0 else 2);
             jr_report = rr.Conair.report;
-            jr_record = Some (run_record ~case:app ~seed rr.Conair.run);
+            jr_record =
+              (* the fuzzer's run record, so a tenant's job history and
+                 a fuzz log aggregate identically *)
+              Some
+                (Aggregate.run_record ~case:app ~seed
+                   ~outcome:rr.Conair.run.outcome rr.Conair.run.stats);
             jr_spans =
               Some (Span.to_chrome ~events:rr.Conair.events rr.Conair.spans);
             jr_bundle = bundle;
@@ -306,7 +259,9 @@ let exec_fuzz ~telemetry ~target ~runs ~base_seed ~(exec : Protocol.exec) =
               config_of_exec { exec with Protocol.seed = Some seed }
             in
             let r = Conair.execute_hardened ~config ~engine h in
-            let rec_j = run_record ~case:app ~seed r in
+            let rec_j =
+              Aggregate.run_record ~case:app ~seed ~outcome:r.outcome r.stats
+            in
             records := rec_j :: !records;
             telemetry rec_j
           done;

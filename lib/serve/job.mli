@@ -13,7 +13,8 @@ type outcome = {
   jr_exit : int;  (** the CLI-equivalent exit code *)
   jr_report : Json.t;  (** the job's structured result document *)
   jr_record : Json.t option;
-      (** fuzz-style run record, for cross-job aggregation *)
+      (** the fuzzer's run record ({!Conair_obs.Aggregate.run_record}),
+          for cross-job aggregation *)
   jr_spans : Json.t option;  (** Chrome trace document (run jobs) *)
   jr_bundle : Json.t option;
       (** flight-recorder diagnostic bundle — present when a run job's
@@ -21,10 +22,6 @@ type outcome = {
           the job's exact config and engine, byte-identical to the CLI's
           [--flight] dump for the same inputs *)
 }
-
-val run_record : case:string -> seed:int -> Conair.run -> Json.t
-(** The fuzzer's per-run record shape — {!Conair_obs.Aggregate}'s input
-    vocabulary. *)
 
 val execute : ?telemetry:(Json.t -> unit) -> Protocol.spec -> outcome
 (** Execute one job, streaming per-job telemetry records (trace-event

@@ -19,6 +19,8 @@ module Hooks = Conair.Runtime.Hooks
 module Outcome = Conair.Runtime.Outcome
 module Flight_ring = Conair.Runtime.Flight_ring
 module Flight = Conair.Obs.Flight
+module Json = Conair.Obs.Json
+module Jsonl = Conair.Obs.Jsonl
 module Replay = Conair.Replay
 module Log = Replay.Log
 module Recorder = Replay.Recorder
@@ -251,6 +253,135 @@ let regeneration_rejects_tampering () =
     { b with Flight.fb_program_md5 = String.make 32 '0' };
   expect_error "no embedded program" { b with Flight.fb_program_text = None }
 
+(* --- hostile input: the codec is the validator ---------------------- *)
+
+(* Replace member [key] of object [j] (which must carry it). *)
+let set key v = function
+  | Json.Obj fields when List.mem_assoc key fields ->
+      Json.Obj
+        (List.map (fun (k, x) -> if k = key then (k, v) else (k, x)) fields)
+  | _ -> Alcotest.failf "no %S member to mutate" key
+
+let get key j =
+  match Json.member key j with
+  | Some v -> v
+  | None -> Alcotest.failf "no %S member" key
+
+let in_tail key v j = set "tail" (set key v (get "tail" j)) j
+let int_list l = Json.List (List.map (fun n -> Json.Int n) l)
+
+(* A real HawkNL bundle (12 decisions, 4 preemptions, all retained)
+   with each decoder invariant broken in turn — the tail window, the
+   preemption ordinals, the embedded-program MD5, episode spans, and
+   the identity and trailer checks that moved in from json_check. *)
+let hostile_bundles () =
+  let inst = instance "HawkNL" Spec.Buggy in
+  let _m, _out, b =
+    Bundle.capture ~config ~ident:(ident "HawkNL") inst.Spec.program
+  in
+  let j = Flight.to_json b in
+  let total = b.Flight.fb_tail_total in
+  let preemptions = Array.to_list b.Flight.fb_tail_preemptions in
+  let short_tail =
+    Jsonl.sched_chunks (Array.sub b.Flight.fb_tail 0 (total - 1))
+  in
+  ( j,
+    [
+      ("negative first", in_tail "first" (Json.Int (-3)) j);
+      ("first > total", in_tail "first" (Json.Int (total + 1)) j);
+      ("tail one entry short", in_tail "chunks" (Json.List short_tail) j);
+      ( "preemption outside the window",
+        in_tail "preemptions" (int_list (preemptions @ [ total ])) j );
+      ( "preemptions out of order",
+        in_tail "preemptions" (int_list (List.rev preemptions)) j );
+      ( "bad MD5 with the text present",
+        set "program_md5" (Json.String (String.make 32 '0')) j );
+      ("empty reason", set "reason" (Json.String "") j);
+      ( "negative trailer step count",
+        set "trailer" (set "steps" (Json.Int (-1)) (get "trailer" j)) j );
+      ( "episode ends before it starts",
+        set "episodes"
+          (Json.List
+             [
+               Json.Obj
+                 [
+                   ("site", Json.Int 0);
+                   ("tid", Json.Int 1);
+                   ("start", Json.Int 10);
+                   ("end", Json.Int 5);
+                   ("retries", Json.Int 0);
+                 ];
+             ])
+          j );
+    ] )
+
+let hostile_bundles_rejected () =
+  let original, mutants = hostile_bundles () in
+  (match Flight.of_string (Json.to_string original) with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "unmutated bundle rejected: %s" e);
+  List.iter
+    (fun (what, j) ->
+      match Flight.of_string (Json.to_string j) with
+      | Ok _ -> Alcotest.failf "%s: decoder accepted the bundle" what
+      | Error _ -> ())
+    mutants
+
+(* Whatever the decoder lets through, regeneration answers with a
+   result: decode + recover never raises on the hostile table. *)
+let hostile_bundles_never_raise () =
+  let _, mutants = hostile_bundles () in
+  List.iter
+    (fun (what, j) ->
+      match
+        match Flight.of_string (Json.to_string j) with
+        | Error _ -> ()
+        | Ok b -> ignore (Bundle.recover_log b)
+      with
+      | () -> ()
+      | exception e ->
+          Alcotest.failf "%s: decode + recover raised %s" what
+            (Printexc.to_string e))
+    mutants
+
+let has_substring s sub =
+  let n = String.length sub in
+  let rec scan i =
+    i + n <= String.length s && (String.sub s i n = sub || scan (i + 1))
+  in
+  scan 0
+
+let cli_path () =
+  List.find_opt Sys.file_exists
+    [ "../bin/conair_cli.exe"; "_build/default/bin/conair_cli.exe" ]
+
+(* The CLI's post-mortem path on a hostile bundle: a structured error
+   and exit 1, not an uncaught exception. *)
+let cli_rejects_hostile_bundle () =
+  match cli_path () with
+  | None -> Alcotest.fail "conair_cli.exe not built"
+  | Some cli ->
+      let _, mutants = hostile_bundles () in
+      let bad = List.assoc "negative first" mutants in
+      let file = Filename.temp_file "conair-hostile" ".bundle.json" in
+      let err = Filename.temp_file "conair-hostile" ".stderr" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove file; Sys.remove err)
+        (fun () ->
+          Out_channel.with_open_text file (fun oc ->
+              output_string oc (Json.to_string bad ^ "\n"));
+          let code =
+            Sys.command
+              (Filename.quote_command cli ~stdout:Filename.null ~stderr:err
+                 [ "bundle"; "replay"; file ])
+          in
+          let msg = In_channel.with_open_text err In_channel.input_all in
+          Alcotest.(check int) "bundle replay exits 1" 1 code;
+          Alcotest.(check bool)
+            (Printf.sprintf "a bundle error on stderr (got %S)" msg)
+            true
+            (has_substring msg "bundle:"))
+
 (* --- zero cost when off -------------------------------------------- *)
 
 (* Attaching the recorder never changes a run: outcome, outputs and
@@ -367,6 +498,13 @@ let suites =
         case "full-retention bundle round trip" roundtrip_full_retention;
         slow_case "wrapped bundle round trip" roundtrip_wrapped;
         case "tampered bundles rejected" regeneration_rejects_tampering;
+      ] );
+    ( "flight.hostile",
+      [
+        case "decoder rejects every mutation" hostile_bundles_rejected;
+        case "decode + recover never raises" hostile_bundles_never_raise;
+        case "bundle replay exits 1 on a hostile bundle"
+          cli_rejects_hostile_bundle;
       ] );
     ( "flight.off",
       [ slow_case "recorder never changes a run" recorder_never_changes_a_run ] );

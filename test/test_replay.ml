@@ -464,6 +464,66 @@ let minimize_rejects_success () =
   | Ok _ -> Alcotest.fail "minimized a successful run"
   | Error _ -> ()
 
+(* ------------------------------------------------------------------ *)
+(* Hostile input: the codec is the log's validator                     *)
+(* ------------------------------------------------------------------ *)
+
+(* A real HawkNL log (12 decisions, 4 preemptions) with the trailer's
+   preemption ordinals broken in turn: outside [0, decisions), out of
+   order, repeated. *)
+let hostile_logs () =
+  let spec = Option.get (Registry.find "HawkNL") in
+  let inst = spec.make ~variant:Spec.Buggy ~oracle:false in
+  let _, log =
+    Conair.record_run
+      ~config:(config Sched.Round_robin)
+      ~ident:(Log.ident "HawkNL") inst.program
+  in
+  let lines = Log.to_lines log in
+  let n = Array.length log.Log.decisions in
+  let pre = Array.to_list log.Log.preemptions in
+  Alcotest.(check bool) "the log has preemptions to mutate" true
+    (List.length pre >= 2);
+  let with_preemptions ps =
+    List.mapi
+      (fun i line ->
+        if i < List.length lines - 1 then line
+        else
+          match Json.of_string line with
+          | Ok (Json.Obj fields) ->
+              Json.to_string
+                (Json.Obj
+                   (List.map
+                      (fun (k, v) ->
+                        if k = "preemptions" then
+                          (k, Json.List (List.map (fun p -> Json.Int p) ps))
+                        else (k, v))
+                      fields))
+          | _ -> Alcotest.fail "sched_end is not an object")
+      lines
+  in
+  ( lines,
+    [
+      ("preemption at the decision count", with_preemptions (pre @ [ n ]));
+      ("negative preemption", with_preemptions (-1 :: pre));
+      ("preemptions out of order", with_preemptions (List.rev pre));
+      ("repeated preemption", with_preemptions (List.hd pre :: pre));
+    ] )
+
+let hostile_logs_rejected () =
+  let lines, mutants = hostile_logs () in
+  (match Log.of_lines lines with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "unmutated log rejected: %s" e);
+  List.iter
+    (fun (what, lines) ->
+      match Log.of_lines lines with
+      | Ok _ -> Alcotest.failf "%s: decoder accepted the log" what
+      | Error _ -> ()
+      | exception e ->
+          Alcotest.failf "%s: decoder raised %s" what (Printexc.to_string e))
+    mutants
+
 let suites =
   [
     ( "replay.identity",
@@ -490,6 +550,9 @@ let suites =
         case "leftover decisions" divergence_leftover;
         case "wrong program" wrong_program;
       ] );
+    ( "replay.hostile",
+      [ case "decoder rejects bad preemption ordinals" hostile_logs_rejected ]
+    );
     ("replay.inspect", [ case "stride-independent states" inspector_states ]);
     ( "replay.minimize",
       [
