@@ -15,7 +15,7 @@
    Usage:  conair_fuzz [OPTIONS] [ITERATIONS] [BASE_SEED]
                        (defaults 500 0; see [usage] below)
 
-   With --engine (ref, fast or block; default fast), every execution —
+   With --engine (ref, fast or block; default block), every execution —
    reference, hardened, recorded and detected — runs on the named
    engine. All engines agree bit-for-bit, so the checks and the summary
    are engine-independent; running the fuzzer under each engine is
@@ -93,7 +93,7 @@ let usage_lines =
     "";
     "Workload and execution:";
     "  --engine NAME    interpreter for every run: ref, fast or block";
-    "                   (default fast)";
+    "                   (default block)";
     "  --apps           fuzz the bugbench catalog (buggy variants, random";
     "                   schedules) instead of generated programs";
     "  --detect         also run the race detector on every racy schedule";
@@ -117,8 +117,8 @@ let usage_error msg =
   prerr_endline "conair_fuzz: try --help for usage";
   exit 2
 
-(* --engine: which interpreter runs everything (default: fast) *)
-let engine = ref Engine.Fast
+(* --engine: which interpreter runs everything (default: block) *)
+let engine = ref Engine.Block
 
 type failure_report = { case : string; detail : string }
 
@@ -882,7 +882,7 @@ let run_campaign ~dir ~njobs ~lo ~hi ~eng ~minimize_corpus () =
                           Printf.eprintf
                             "conair_fuzz: corpus: bundle for %s: %s\n"
                             log_path e);
-                      match Conair.minimize ~detect:false log with
+                      match Conair.minimize ~engine:eng ~detect:false log with
                       | Ok m ->
                           let dest =
                             Filename.concat dir

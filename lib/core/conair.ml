@@ -150,13 +150,13 @@ let make_run machine outcome =
     machine;
   }
 
-let execute ?(config = Machine.default_config) ?(engine = Engine.Fast)
+let execute ?(config = Machine.default_config) ?(engine = Engine.Block)
     (p : Program.t) : run =
   let machine, outcome = Engine.run_program ~config engine p in
   make_run machine outcome
 
 let execute_hardened ?(config = Machine.default_config)
-    ?(engine = Engine.Fast) (h : hardened) : run =
+    ?(engine = Engine.Block) (h : hardened) : run =
   let meta = Machine.meta_of_harden h.hardened in
   let machine, outcome =
     Engine.run_program ~config ~meta engine h.hardened.program
@@ -209,7 +209,7 @@ let observed_with ~config ~engine ?meta ?meta_info ?trace_writer program :
   in
   { run; events; spans; metrics; report }
 
-let run_observed ?(config = Machine.default_config) ?(engine = Engine.Fast)
+let run_observed ?(config = Machine.default_config) ?(engine = Engine.Block)
     ?meta_info ?trace_writer (h : hardened) : run_report =
   let meta = Machine.meta_of_harden h.hardened in
   observed_with ~config ~engine ~meta ?meta_info ?trace_writer
@@ -222,7 +222,7 @@ let run_observed ?(config = Machine.default_config) ?(engine = Engine.Fast)
     structured report. This is the single code path behind both the
     CLI's run/report subcommands and the serve daemon's run jobs, which
     is what makes their reports byte-identical. *)
-let run_report_of ?(config = Machine.default_config) ?(engine = Engine.Fast)
+let run_report_of ?(config = Machine.default_config) ?(engine = Engine.Block)
     ?meta_info ?trace_writer ~(mode : mode option) (p : Program.t) :
     run_report =
   match mode with
@@ -234,7 +234,7 @@ let run_report_of ?(config = Machine.default_config) ?(engine = Engine.Fast)
     the finalized profile next to the run: per-context useful/checkpoint/
     wasted attribution, per-site rollback waste, flamegraph and Chrome
     counter exports (see [Obs.Prof]). *)
-let run_profiled ?(config = Machine.default_config) ?(engine = Engine.Fast)
+let run_profiled ?(config = Machine.default_config) ?(engine = Engine.Block)
     (h : hardened) : run * Conair_obs.Prof.t =
   let meta = Machine.meta_of_harden h.hardened in
   let prof = Conair_obs.Prof.create () in
@@ -252,7 +252,7 @@ let run_profiled ?(config = Machine.default_config) ?(engine = Engine.Fast)
     [Machine.meta_of_harden]) to detect on a hardened program — the mode
     that matters for fail-stop bugs, where recovery keeps the run alive
     long enough for the conflicting access to execute. *)
-let run_detected ?(config = Machine.default_config) ?(engine = Engine.Fast)
+let run_detected ?(config = Machine.default_config) ?(engine = Engine.Block)
     ?options ?meta (p : Program.t) : run * Conair_race.Report.t =
   let d = Conair_race.Detect.create ?options () in
   let m =
@@ -300,12 +300,14 @@ let mode_name : mode -> string = function
    [run] next to the schedule log. [race] rides along in the same scoped
    install — campaign workers observe schedule coverage (the
    [Obs.Coverage] collector probe) on the very run they record. *)
-let record_into ?(config = Machine.default_config) ?(engine = Engine.Fast)
+let record_into ?(config = Machine.default_config) ?(engine = Engine.Block)
     ?meta ?race ~ident program : run * Replay.Log.t =
   let r = Conair_replay.Recorder.create () in
   let m =
     Engine.create ~config ?meta
-      ~hooks:(Hooks.bundle ?race ~tap:(Conair_replay.Recorder.tap r) ())
+      ~hooks:
+        (Hooks.bundle ?race ~tap:(Conair_replay.Recorder.tap r)
+           ~tap_run:(Conair_replay.Recorder.tap_run r) ())
       engine program
   in
   let outcome = Engine.run m in
@@ -350,9 +352,9 @@ let run_recorded ?config ?engine ?ident ?race (h : hardened) :
 
 (** Run with the flight recorder attached: the run plus the diagnostic
     bundle its ring retained — the always-on post-mortem artifact. The
-    flight hook is the one hook that keeps the block engine on its
-    window fast path, so this is cheap enough to leave on everywhere. *)
-let run_flight ?(config = Machine.default_config) ?(engine = Engine.Fast)
+    block engine accounts the ring in bulk on its window fast path, so
+    this is cheap enough to leave on everywhere. *)
+let run_flight ?(config = Machine.default_config) ?(engine = Engine.Block)
     ?meta ?cap ?reason ~ident program : run * Conair_obs.Flight.t =
   let m, outcome, bundle =
     Conair_replay.Bundle.capture ~engine ~config ?meta ?cap ?reason ~ident
@@ -404,8 +406,8 @@ let replay ?engine ?program ?meta (log : Replay.Log.t) =
 
 (** Shrink a failing recorded schedule to a locally minimal set of
     preemptions that still reproduces the failure. *)
-let minimize ?max_tests ?detect ?program ?meta (log : Replay.Log.t) =
-  Conair_replay.Minimize.minimize ?max_tests ?detect ?program ?meta log
+let minimize ?engine ?max_tests ?detect ?program ?meta (log : Replay.Log.t) =
+  Conair_replay.Minimize.minimize ?engine ?max_tests ?detect ?program ?meta log
 
 (** A recovery trial in the style of §5: run the hardened program [runs]
     times (varying the random-scheduler seed) and report how many runs

@@ -151,7 +151,8 @@ val execute :
   Conair_ir.Program.t ->
   run
 (** Run an (unhardened) program on the chosen engine (default
-    [Engine.Fast]). All engines produce identical runs; pick by speed. *)
+    [Engine.Block], as for every entry point below). All engines produce
+    identical runs; pick by speed. *)
 
 val execute_hardened :
   ?config:Conair_runtime.Machine.config ->
@@ -321,10 +322,9 @@ val run_flight :
     locksets, sync/recovery events, episode spans, regeneration recipe —
     see {!Obs.Flight}). [cap] sizes the decision ring (default
     {!Runtime.Flight_ring.default_capacity}); [reason] defaults to
-    ["requested"]. Unlike every other hook, the flight recorder keeps
-    the block engine on its window fast path, so this is cheap enough to
-    leave always on (the [@perf] gate holds it within 5% of a bare
-    run). *)
+    ["requested"]. The block engine accounts the ring in bulk on its
+    window fast path, so this is cheap enough to leave always on (the
+    [@perf] gate holds it within 5% of a bare run). *)
 
 val flight_of_log :
   ?cap:int ->
@@ -355,6 +355,7 @@ val replay :
     {!Replay.Driver.replay}. *)
 
 val minimize :
+  ?engine:Conair_runtime.Engine.t ->
   ?max_tests:int ->
   ?detect:bool ->
   ?program:Conair_ir.Program.t ->

@@ -76,7 +76,8 @@ let sweep ?(engine = Engine.Fast) ?accept ~config ~seeds (p : Program.t) :
         ~config:{ config with Machine.policy }
         ~hooks:
           (Hooks.bundle ~race:(Detect.probe det)
-             ~tap:(Conair_replay.Recorder.tap rc) ())
+             ~tap:(Conair_replay.Recorder.tap rc)
+             ~tap_run:(Conair_replay.Recorder.tap_run rc) ())
         engine p
     in
     let outcome = Engine.run m in

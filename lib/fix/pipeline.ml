@@ -232,8 +232,8 @@ let run ?(options = default_options) ?accept ~app ~variant (p : Program.t) :
          reproduce (e.g. oracle-rejected successful runs) *)
       let log, minimized =
         match
-          Minimize.minimize ~max_tests:options.minimize_budget ~detect:false
-            ~program:p log
+          Minimize.minimize ~engine:options.engine
+            ~max_tests:options.minimize_budget ~detect:false ~program:p log
         with
         | Ok mn ->
             (mn.Minimize.mn_log, Some (mn.Minimize.mn_original, mn.Minimize.mn_minimized))

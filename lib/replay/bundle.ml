@@ -28,11 +28,11 @@ let ( let* ) = Result.bind
 let bundle_of_machine ?(embed_program = true) ~engine ~reason ~config ~meta
     ~(ident : Log.ident) ~program m ring outcome =
   let stats = Engine.stats m in
-  let text = Emit.program program in
+  let text, md5 = Link.source (Machine.link ?meta program) in
   Flight.of_ring ~app:ident.Log.id_app ~variant:ident.Log.id_variant
     ~oracle:ident.Log.id_oracle ~mode:ident.Log.id_mode
     ~engine:(Engine.name engine) ~reason ~config
-    ~program_md5:(Log.digest text)
+    ~program_md5:md5
     ~program_text:(if embed_program then Some text else None)
     ~fail_blocks:(Log.fail_blocks_of_meta meta)
     ~threads:(Engine.thread_summaries m)
@@ -40,7 +40,7 @@ let bundle_of_machine ?(embed_program = true) ~engine ~reason ~config ~meta
     ~steps:(Engine.steps m) ~instrs:stats.Stats.instrs
     ~rollbacks:stats.Stats.rollbacks ~outcome ~outputs:(Engine.outputs m) ring
 
-let capture ?(engine = Engine.Fast) ?config ?meta ?cap ?embed_program
+let capture ?(engine = Engine.Block) ?config ?meta ?cap ?embed_program
     ?(reason = "requested") ~ident program =
   let config = Option.value ~default:Machine.default_config config in
   let ring = Flight_ring.create ?cap () in
@@ -147,9 +147,7 @@ let recover_log ?engine (b : Flight.t) : (Log.t, string) result =
   let config = b.Flight.fb_config in
   let recorder = Recorder.create () in
   let m =
-    Engine.create ~config ?meta
-      ~hooks:(Hooks.bundle ~tap:(Recorder.tap recorder) ())
-      engine program
+    Engine.create ~config ?meta ~hooks:(Recorder.hooks recorder) engine program
   in
   let outcome = Engine.run m in
   let* () = verify_against b recorder m outcome in

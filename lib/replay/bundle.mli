@@ -24,7 +24,7 @@ val capture :
   Engine.machine * Outcome.t * Conair_obs.Flight.t
 (** Run [program] to completion with a flight ring of [cap] decisions
     (default {!Flight_ring.default_capacity}) attached via the flight
-    hook, and build the diagnostic bundle. [engine] defaults to [Fast],
+    hook, and build the diagnostic bundle. [engine] defaults to [Block],
     [config] to {!Machine.default_config}, [embed_program] to [true],
     [reason] to ["requested"]. The finished machine is returned so the
     caller can inspect further state. *)

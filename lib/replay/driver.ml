@@ -53,14 +53,16 @@ let error_to_string = function
 (* Package a finished recorded run as a schedule log. Exposed so callers
    that need to keep the machine itself (the facade's [run] type) can
    drive the recording and still get an identical log. *)
-let log_of_run ?(engine = Fast) ~config ?meta ?(embed_program = true) ~ident
+let log_of_run ?(engine = Block) ~config ?meta ?(embed_program = true) ~ident
     ~program recorder (bundle : result_bundle) =
-  let text = Emit.program program in
+  (* the recording machine's own linked image (a memo hit) carries the
+     text and MD5, computed once per program rather than per run *)
+  let text, md5 = Link.source (Machine.link ?meta program) in
   {
     Log.ident;
     engine = engine_name engine;
     config;
-    program_md5 = Log.digest text;
+    program_md5 = md5;
     program_text = (if embed_program then Some text else None);
     fail_blocks = Log.fail_blocks_of_meta meta;
     decisions = Recorder.decisions recorder;
@@ -72,13 +74,11 @@ let log_of_run ?(engine = Fast) ~config ?meta ?(embed_program = true) ~ident
     outputs = bundle.rb_outputs;
   }
 
-let record ?(engine = Fast) ?config ?meta ?embed_program ~ident program =
+let record ?(engine = Block) ?config ?meta ?embed_program ~ident program =
   let config = Option.value ~default:Machine.default_config config in
   let recorder = Recorder.create () in
   let m =
-    Engine.create ~config ?meta
-      ~hooks:(Hooks.bundle ~tap:(Recorder.tap recorder) ())
-      engine program
+    Engine.create ~config ?meta ~hooks:(Recorder.hooks recorder) engine program
   in
   let outcome = Engine.run m in
   let bundle =
@@ -97,6 +97,36 @@ let record ?(engine = Fast) ?config ?meta ?embed_program ~ident program =
 (* Replaying                                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* What a log resolves to by itself — its embedded program, parsed, and
+   its fail-block table as recovery metadata — is cached per log
+   content. A fresh [Program.t] or meta per call would miss the
+   [Link]/[Compile] memos (keyed by physical identity), so every
+   minimized finding would re-link and re-compile its program and fill
+   the memos with copies. Bounded MRU lists in [Atomic.t]s, like those
+   memos: a racing publish only costs a recomputation. *)
+let cache_max = 64
+
+let cached cache same compute key =
+  match List.find_opt (fun (k, _) -> same k key) (Atomic.get cache) with
+  | Some (_, v) -> v
+  | None ->
+      let v = compute key in
+      Atomic.set cache
+        ((key, v) :: List.filteri (fun i _ -> i < cache_max - 1) (Atomic.get cache));
+      v
+
+let parsed : (string * (Program.t, string) result) list Atomic.t =
+  Atomic.make []
+
+let metas : ((string * int) list * Machine.meta option) list Atomic.t =
+  Atomic.make []
+
+let embedded_program (log : Log.t) =
+  match log.Log.program_text with
+  | None -> Log.program log
+  | Some text ->
+      cached parsed String.equal (fun _ -> Log.program log) text
+
 (* Resolve the program to execute: the supplied one (verified against the
    recorded MD5) or the log's embedded text. *)
 let resolve_program ?program (log : Log.t) =
@@ -107,18 +137,20 @@ let resolve_program ?program (log : Log.t) =
         Error (Program_mismatch { expected_md5 = log.Log.program_md5; got_md5 = got })
       else Ok p
   | None -> (
-      match Log.program log with
+      match embedded_program log with
       | Ok p -> Ok p
       | Error e -> Error (No_program e))
 
 let resolve_meta ?meta (log : Log.t) =
-  match meta with Some _ -> meta | None -> Log.machine_meta log
+  match meta with
+  | Some _ -> meta
+  | None -> cached metas ( = ) Log.meta_of_fail_blocks log.Log.fail_blocks
 
 let exhausted_reason = function
   | None -> "the execution needs more decisions than were recorded"
   | Some _ -> "the recorded thread is not eligible"
 
-let replay ?(engine = Fast) ?program ?meta (log : Log.t) =
+let replay ?(engine = Block) ?program ?meta (log : Log.t) =
   match resolve_program ?program log with
   | Error e -> Error e
   | Ok program -> (
@@ -126,9 +158,7 @@ let replay ?(engine = Fast) ?program ?meta (log : Log.t) =
       let config = log.Log.config in
       let h = Feed.strict log.Log.decisions in
       let m =
-        Engine.create ~config ?meta
-          ~hooks:(Hooks.bundle ~feed:(Feed.strict_decide h) ())
-          engine program
+        Engine.create ~config ?meta ~hooks:(Feed.strict_hooks h) engine program
       in
       match Engine.run m with
       | outcome ->
@@ -173,7 +203,7 @@ let replay ?(engine = Fast) ?program ?meta (log : Log.t) =
    made it block on a new lock) control falls to the next eligible
    thread in round-robin order — exactly what "the recorded failing
    schedule now passes or diverges safely" means. *)
-let replay_directed ?(engine = Fast) ?meta ~program (log : Log.t) =
+let replay_directed ?(engine = Block) ?meta ~program (log : Log.t) =
   let config = log.Log.config in
   let fixed, cand =
     Feed.directives_of ~decisions:log.Log.decisions
@@ -181,10 +211,7 @@ let replay_directed ?(engine = Fast) ?meta ~program (log : Log.t) =
   in
   let d = Feed.directed (Feed.merge_directives fixed cand) in
   let m =
-    Engine.create ~config ?meta
-      ~hooks:
-        (Hooks.bundle ~feed:(fun ~eligible -> Feed.directed_decide d ~eligible) ())
-      engine program
+    Engine.create ~config ?meta ~hooks:(Feed.directed_hooks d) engine program
   in
   let outcome = Engine.run m in
   {

@@ -6,7 +6,9 @@ open Conair_ir
 open Conair_runtime
 
 (** = {!Conair_runtime.Engine.t}: any engine records, any engine replays,
-    in any combination — schedule logs are engine-interchangeable. *)
+    in any combination — schedule logs are engine-interchangeable. Every
+    entry point below defaults to [Block], whose compiled windows
+    account the recorder tap and the replay feeds in bulk. *)
 type engine = Engine.t = Ref  (** [Ref_machine] *)
   | Fast  (** [Machine] *)
   | Block  (** [Block_machine] *)

@@ -36,9 +36,37 @@ let strict_decide h ~eligible =
   h.pos <- k + 1;
   tid
 
+(* The forced-run entry: the log admits as many forced decisions of
+   [tid] as it has consecutive [tid] entries from [pos]. [lo, hi) caches
+   the last run of equal entries measured, so a long run cut into many
+   windows is scanned once. *)
+let strict_run h =
+  let lo = ref 0 and hi = ref 0 in
+  let allow ~tid =
+    let d = h.decisions in
+    let k = h.pos in
+    if k >= Array.length d || d.(k) <> tid then 0
+    else begin
+      if not (!lo <= k && k < !hi) then begin
+        let e = ref (k + 1) in
+        while !e < Array.length d && d.(!e) = tid do
+          incr e
+        done;
+        lo := k;
+        hi := !e
+      end;
+      !hi - k
+    end
+  in
+  { Sched.fr_allow = allow; fr_take = (fun ~tid:_ n -> h.pos <- h.pos + n) }
+
+let strict_hooks h =
+  Hooks.bundle ~feed:(strict_decide h) ~feed_run:(strict_run h) ()
+
 let attach_strict ?start sched decisions =
   let h = strict ?start decisions in
-  Sched.set_feed sched (Some (fun ~eligible -> strict_decide h ~eligible));
+  Sched.set_feed ~run:(strict_run h) sched
+    (Some (fun ~eligible -> strict_decide h ~eligible));
   h
 
 (* ------------------------------------------------------------------ *)
@@ -48,12 +76,22 @@ type directive = { dr_from : int; dr_count : int; dr_to : int }
 type directed = {
   mutable queue : directive list;
   mutable cur : int;
-  counts : (int, int) Hashtbl.t;  (** tid -> decisions it has run *)
+  mutable counts : int array;  (** tid -> decisions it has run *)
   mutable fired : int;
 }
 
+let local d tid = if tid < Array.length d.counts then d.counts.(tid) else 0
+
+let bump d tid n =
+  if tid >= Array.length d.counts then begin
+    let c = Array.make (max (tid + 1) (2 * Array.length d.counts)) 0 in
+    Array.blit d.counts 0 c 0 (Array.length d.counts);
+    d.counts <- c
+  end;
+  d.counts.(tid) <- d.counts.(tid) + n
+
 let directed_decide d ~eligible =
-  let local tid = Option.value ~default:0 (Hashtbl.find_opt d.counts tid) in
+  let local = local d in
   let tid =
     match d.queue with
     | dr :: rest
@@ -74,11 +112,33 @@ let directed_decide d ~eligible =
           | None -> List.hd eligible)
   in
   d.cur <- tid;
-  Hashtbl.replace d.counts tid (local tid + 1);
+  bump d tid 1;
   tid
 
 let directed directives =
-  { queue = directives; cur = -1; counts = Hashtbl.create 16; fired = 0 }
+  { queue = directives; cur = -1; counts = Array.make 8 0; fired = 0 }
+
+(* The forced-run entry. After a forced run's first decision [cur] is
+   [tid], and only [tid] is eligible, so the head directive can fire
+   during the run only if it switches [tid] to itself — once [tid] has
+   run [dr_count] decisions. Until then every decision is [tid]'s, and
+   the run costs one count update. *)
+let directed_allow d ~tid =
+  match d.queue with
+  | dr :: _ when dr.dr_from = tid && dr.dr_to = tid ->
+      max 0 (dr.dr_count - local d tid)
+  | _ -> max_int
+
+let directed_run d =
+  {
+    Sched.fr_allow = (fun ~tid -> directed_allow d ~tid);
+    fr_take = (fun ~tid n -> bump d tid n);
+  }
+
+let directed_hooks d =
+  Hooks.bundle
+    ~feed:(fun ~eligible -> directed_decide d ~eligible)
+    ~feed_run:(directed_run d) ()
 
 (* Recast a recorded decision stream as context-switch directives: every
    change of chosen thread is a switch; the preemption ordinals recorded
@@ -89,19 +149,20 @@ let directed directives =
 let directives_of ~decisions ~preemptions =
   let preemptive = Hashtbl.create 64 in
   Array.iter (fun k -> Hashtbl.replace preemptive k ()) preemptions;
-  let counts = Hashtbl.create 16 in
-  let local tid = Option.value ~default:0 (Hashtbl.find_opt counts tid) in
+  let counts = directed [] in
   let fixed = ref [] and cand = ref [] in
   Array.iteri
     (fun k tid ->
       (if k > 0 then
          let prev = decisions.(k - 1) in
          if tid <> prev then begin
-           let dr = (k, { dr_from = prev; dr_count = local prev; dr_to = tid }) in
+           let dr =
+             (k, { dr_from = prev; dr_count = local counts prev; dr_to = tid })
+           in
            if Hashtbl.mem preemptive k then cand := dr :: !cand
            else fixed := dr :: !fixed
          end);
-      Hashtbl.replace counts tid (local tid + 1))
+      bump counts tid 1)
     decisions;
   (List.rev !fixed, List.rev !cand)
 
@@ -112,7 +173,8 @@ let merge_directives fixed subset =
 
 let attach_directed sched directives =
   let d = directed directives in
-  Sched.set_feed sched (Some (fun ~eligible -> directed_decide d ~eligible));
+  Sched.set_feed ~run:(directed_run d) sched
+    (Some (fun ~eligible -> directed_decide d ~eligible));
   d
 
 let detach sched = Sched.set_feed sched None

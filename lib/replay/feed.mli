@@ -22,6 +22,15 @@ val strict_decide : strict -> eligible:int list -> int
 (** The feed function: returns the next recorded decision.
     @raise Diverged when it is not eligible or the log is exhausted. *)
 
+val strict_run : strict -> Sched.feed_run
+(** The forced-run entry: the log admits as many forced decisions of a
+    thread as it records consecutively from [pos]. A mismatch is thus
+    never retired in bulk; it reaches {!strict_decide} and diverges at
+    the same ordinal, with the same payload, on every engine. *)
+
+val strict_hooks : strict -> Hooks.bundle
+(** A bundle carrying this feed with its run entry. *)
+
 val attach_strict : ?start:int -> Sched.t -> int array -> strict
 
 (** {1 Directed execution}
@@ -42,7 +51,7 @@ type directive = {
 type directed = {
   mutable queue : directive list;
   mutable cur : int;
-  counts : (int, int) Hashtbl.t;
+  mutable counts : int array;  (** tid -> decisions it has run *)
   mutable fired : int;  (** directives consumed so far *)
 }
 
@@ -51,6 +60,13 @@ val directed : directive list -> directed
     [directed_decide] as the feed hook ([Hooks.bundle ~feed]). *)
 
 val directed_decide : directed -> eligible:int list -> int
+
+val directed_run : directed -> Sched.feed_run
+(** The forced-run entry: one count update per forced run. *)
+
+val directed_hooks : directed -> Hooks.bundle
+(** A bundle carrying this feed with its run entry. *)
+
 val attach_directed : Sched.t -> directive list -> directed
 
 val directives_of :

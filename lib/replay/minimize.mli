@@ -37,13 +37,17 @@ val same_failure : Outcome.t -> Outcome.t -> bool
     participants and step counts may shift. *)
 
 val minimize :
+  ?engine:Engine.t ->
   ?max_tests:int ->
   ?detect:bool ->
   ?program:Conair_ir.Program.t ->
   ?meta:Machine.meta ->
   Schedule_log.t ->
   (t, string) result
-(** [max_tests] (default 2000) bounds candidate executions; [detect]
+(** [engine] (default [Block]) runs the candidate executions, the
+    final re-recording and the detector pass; every engine yields the
+    same result, down to the minimized log's bytes but for its engine
+    stamp. [max_tests] (default 2000) bounds candidate executions; [detect]
     (default true) runs the race detector on the minimized schedule.
     Fails when the recorded run succeeded, when the failure does not
     reproduce from the recorded switch points, or on a program

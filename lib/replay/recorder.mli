@@ -13,8 +13,15 @@ val tap : t -> chosen:int -> eligible:int list -> unit
 (** The tap itself — exposed so callers can compose it with their own
     observation in a single scheduler tap. *)
 
+val tap_run : t -> tid:int -> int -> unit
+(** The tap's forced-run entry ({!Conair_runtime.Sched.forced_run}):
+    appends [n] decisions of [tid], none of them preemptive. *)
+
+val hooks : t -> Hooks.bundle
+(** A bundle carrying just this recorder: {!tap} with {!tap_run}. *)
+
 val attach : Sched.t -> t
-(** [create] + [Sched.set_tap]. *)
+(** [create] + [Sched.set_tap] (with the run entry). *)
 
 val detach : Sched.t -> unit
 

@@ -75,6 +75,11 @@ let thread_summaries = function
   | M_fast m -> Machine.thread_summaries m
   | M_block m -> Block_machine.thread_summaries m
 
+let thread_frames = function
+  | M_ref m -> Ref_machine.thread_frames m
+  | M_fast m -> Machine.thread_frames m
+  | M_block m -> Machine.thread_frames (Block_machine.machine m)
+
 let run_program ?config ?meta ?hooks engine prog =
   let m = create ?config ?meta ?hooks engine prog in
   let outcome = run m in

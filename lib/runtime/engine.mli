@@ -56,6 +56,11 @@ val thread_summaries : machine -> (int * string * string list) list
 (** [Machine.thread_summaries] on whichever engine — byte-identical
     across the three. *)
 
+val thread_frames :
+  machine -> int -> (string * string * int * int option) list option
+(** [Machine.thread_frames] on whichever engine — identical across the
+    three. *)
+
 val run_program :
   ?config:Machine.config ->
   ?meta:Machine.meta ->

@@ -3,9 +3,9 @@
     synchronization/recovery events of one run.
 
     A ring is installed per machine through {!Hooks.bundle}'s [flight]
-    slot. Unlike the other five hook slots it deliberately does {e not}
-    force the block engine off its window fast path: compiled windows
-    account their decisions in bulk via {!push_run}, which is what keeps
+    slot. It does {e not} force the block engine off its window fast
+    path: compiled windows account their decisions in bulk via
+    {!push_run}, which is what keeps
     recorder-on throughput within a few percent of recorder-off. The
     decision stream is exactly what a full [Conair_replay.Recorder] tap
     would capture, so the tail can be verified against (and regenerated

@@ -17,10 +17,22 @@
    never shared between runs, so concurrent in-process jobs cannot fight
    over hook state.
 
-   The flight slot is special: unlike the other five it does not force
-   the block engine off its compiled window fast path — windows account
-   their decisions in bulk (see [Flight_ring.push_run]), which is what
-   makes the recorder cheap enough to leave on everywhere.
+   Which hooks keep the block engine on its compiled windows:
+
+   - the flight ring: windows account their decisions in bulk
+     ([Flight_ring.push_run]);
+   - the tap and the feed: a window's first decision goes through the
+     per-decision entry, the rest through the forced-run entry
+     ([tap_run] / [feed_run], see [Sched.forced_run]). A tap without a
+     run entry is told the rest one decision at a time after the
+     window; a feed without one confines every window to one decision;
+   - the race probe: memory accesses become window stoppers, run
+     through [Machine.run_thread_step] so they emit exactly what they
+     emit on the per-step engines; the rest of the window stays
+     compiled ([Compile.compile ~probe]).
+
+   The trace sink and the cost profiler (and [profile_sites]) observe
+   every step, so they still send every step down [Machine.step].
 
    [install] remains for the rare self-referential hook that needs the
    machine in scope before it can be built. *)
@@ -39,7 +51,9 @@ type bundle = {
   hb_race : Race_probe.probe option;
   hb_flight : Flight_ring.t option;
   hb_tap : (chosen:int -> eligible:int list -> unit) option;
+  hb_tap_run : (tid:int -> int -> unit) option;
   hb_feed : (eligible:int list -> int) option;
+  hb_feed_run : Sched.feed_run option;
 }
 
 let none =
@@ -49,12 +63,15 @@ let none =
     hb_race = None;
     hb_flight = None;
     hb_tap = None;
+    hb_tap_run = None;
     hb_feed = None;
+    hb_feed_run = None;
   }
 
-let bundle ?trace ?profile ?race ?flight ?tap ?feed () =
+let bundle ?trace ?profile ?race ?flight ?tap ?tap_run ?feed ?feed_run () =
   { hb_trace = trace; hb_profile = profile; hb_race = race;
-    hb_flight = flight; hb_tap = tap; hb_feed = feed }
+    hb_flight = flight; hb_tap = tap; hb_tap_run = tap_run; hb_feed = feed;
+    hb_feed_run = feed_run }
 
 let is_none b =
   b.hb_trace = None && b.hb_profile = None && b.hb_race = None
@@ -69,7 +86,9 @@ let install t b =
   (match b.hb_profile with None -> () | Some _ -> t.ht_profile b.hb_profile);
   (match b.hb_race with None -> () | Some _ -> t.ht_race b.hb_race);
   (match b.hb_flight with None -> () | Some _ -> t.ht_flight b.hb_flight);
-  (match b.hb_tap with None -> () | Some _ -> Sched.set_tap t.ht_sched b.hb_tap);
+  (match b.hb_tap with
+  | None -> ()
+  | Some _ -> Sched.set_tap ?run:b.hb_tap_run t.ht_sched b.hb_tap);
   match b.hb_feed with
   | None -> ()
-  | Some _ -> Sched.set_feed t.ht_sched b.hb_feed
+  | Some _ -> Sched.set_feed ?run:b.hb_feed_run t.ht_sched b.hb_feed

@@ -9,8 +9,11 @@
     to it, and need no uninstall — which makes concurrent in-process
     runs safe (no shared mutable hook slots).
 
-    The flight slot is the one hook that does {e not} force the block
-    engine onto the generic step loop — see {!Flight_ring}. *)
+    On the block engine, the flight ring, the tap, the feed and the race
+    probe all keep compiled windows running (bulk accounting through
+    {!Flight_ring.push_run} and {!Sched.forced_run}; memory accesses as
+    window stoppers under a race probe). Only the trace sink and the
+    cost profiler force the generic step loop. *)
 
 (** The six hook slots of one engine instance, bundled as setters.
     Obtain one from [Machine.hooks], [Ref_machine.hooks],
@@ -31,7 +34,11 @@ type bundle = {
   hb_race : Race_probe.probe option;
   hb_flight : Flight_ring.t option;
   hb_tap : (chosen:int -> eligible:int list -> unit) option;
+  hb_tap_run : (tid:int -> int -> unit) option;
+      (** the tap's forced-run entry ({!Sched.forced_run}) *)
   hb_feed : (eligible:int list -> int) option;
+  hb_feed_run : Sched.feed_run option;
+      (** the feed's forced-run entry ({!Sched.forced_allow}) *)
 }
 
 val none : bundle
@@ -43,9 +50,12 @@ val bundle :
   ?race:Race_probe.probe ->
   ?flight:Flight_ring.t ->
   ?tap:(chosen:int -> eligible:int list -> unit) ->
+  ?tap_run:(tid:int -> int -> unit) ->
   ?feed:(eligible:int list -> int) ->
+  ?feed_run:Sched.feed_run ->
   unit ->
   bundle
+(** [tap_run] / [feed_run] only take effect next to [tap] / [feed]. *)
 
 val is_none : bundle -> bool
 

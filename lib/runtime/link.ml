@@ -110,6 +110,9 @@ type program = {
   lp_src : Program.t;
   lp_funcs : lfunc array;
   lp_main : int;
+  mutable lp_source : (string * string) option;
+      (* [source], once computed. A racing first use computes it twice
+         and stores equal values — never a torn one. *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -293,7 +296,7 @@ let link_uncached ?(fail_blocks = []) ?fail_index (p : Program.t) : program =
         invalid_arg
           (Format.asprintf "Program.func_exn: no function %a" Fname.pp p.main)
   in
-  { lp_src = p; lp_funcs; lp_main }
+  { lp_src = p; lp_funcs; lp_main; lp_source = None }
 
 (** Pre-resolve [p]. [fail_blocks] is the hardening metadata (fail-arm
     label -> site id); pass [[]] for unhardened programs. Re-linking the
@@ -317,6 +320,18 @@ let link ?(fail_blocks = []) ?fail_index (p : Program.t) : program =
       lp
 
 let func_by_id lp id = lp.lp_funcs.(id)
+
+(* The source program's canonical text and its MD5 (hex), computed once
+   per linked image: every recorded run stamps both into its schedule
+   log, and the [memo] above already shares the image across runs. *)
+let source lp =
+  match lp.lp_source with
+  | Some s -> s
+  | None ->
+      let text = Emit.program lp.lp_src in
+      let s = (text, Digest.to_hex (Digest.string text)) in
+      lp.lp_source <- Some s;
+      s
 
 (** Look a block index up by label in [f] — the rare path (rollbacks);
     the hot paths use the indices resolved at link time. *)

@@ -94,6 +94,7 @@ type program = {
   lp_src : Program.t;
   lp_funcs : lfunc array;
   lp_main : int;
+  mutable lp_source : (string * string) option;  (** cache of {!source} *)
 }
 
 val link :
@@ -108,6 +109,11 @@ val link :
     @raise Invalid_argument if the program's main function is missing. *)
 
 val func_by_id : program -> int -> lfunc
+
+val source : program -> string * string
+(** [(Emit.program lp_src, its MD5 in hex)], computed on first use and
+    kept on the image — which {!link}'s memo shares between every
+    machine over the same program. *)
 
 val find_block_index : lfunc -> Label.t -> int option
 (** Label lookup — the rare path (rollback targets); hot paths use the

@@ -120,8 +120,7 @@ type t = {
       (** race-detector probe; one [match] per memory/sync op when off *)
   mutable flight : Flight_ring.t option;
       (** flight-recorder ring; one [match] per decision / sync op when
-          off, and the one hook that keeps the block engine on its
-          compiled window fast path *)
+          off; the block engine's windows feed it in bulk *)
   mutable live : Thread.t array;
       (** slots [0, live_n): the live threads, ascending tid — maintained
           at spawn and death instead of folded from [threads] per step *)
@@ -172,13 +171,14 @@ let rebuild_live m =
 
 (* ------------------------------------------------------------------- *)
 
+let link ?meta prog =
+  match meta with
+  | Some mt -> Link.link ~fail_index:mt.fail_index prog
+  | None -> Link.link prog
+
 let create ?(config = default_config) ?meta ?(hooks = Hooks.none)
     (prog : Program.t) =
-  let linked =
-    match meta with
-    | Some mt -> Link.link ~fail_index:mt.fail_index prog
-    | None -> Link.link prog
-  in
+  let linked = link ?meta prog in
   let globals = Hashtbl.create 32 in
   List.iter (fun (g, v) -> Hashtbl.replace globals g v) prog.globals;
   let m =
@@ -207,8 +207,8 @@ let create ?(config = default_config) ?meta ?(hooks = Hooks.none)
       wbound = 0;
     }
   in
-  Sched.set_tap m.sched hooks.Hooks.hb_tap;
-  Sched.set_feed m.sched hooks.Hooks.hb_feed;
+  Sched.set_tap ?run:hooks.Hooks.hb_tap_run m.sched hooks.Hooks.hb_tap;
+  Sched.set_feed ?run:hooks.Hooks.hb_feed_run m.sched hooks.Hooks.hb_feed;
   let main = Link.func_by_id linked linked.Link.lp_main in
   let tid = m.next_tid in
   m.next_tid <- tid + 1;
@@ -260,6 +260,22 @@ let thread_summaries m =
       (tid, status, Locks.held_by m.locks ~tid) :: acc)
     m.threads []
   |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
+
+let thread_frames m tid =
+  match Hashtbl.find_opt m.threads tid with
+  | None -> None
+  | Some th ->
+      Some
+        (List.map
+           (fun (fr : Thread.frame) ->
+             let blk = fr.Thread.block in
+             ( fr.Thread.func.Link.lf_qname,
+               blk.Link.lb_label_name,
+               fr.Thread.idx,
+               if fr.Thread.idx < Array.length blk.Link.lb_instrs then
+                 Some blk.Link.lb_instrs.(fr.Thread.idx).Link.li_iid
+               else None ))
+           th.Thread.stack)
 
 (* --- race-probe emission ------------------------------------------- *)
 (* Each helper is one [match] when no probe is installed; the event

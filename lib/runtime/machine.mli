@@ -89,8 +89,7 @@ type t = {
       (** race-detector probe; one [match] per memory/sync op when off *)
   mutable flight : Flight_ring.t option;
       (** flight-recorder ring; one [match] per decision / sync op when
-          off, and the one hook that keeps the block engine on its
-          compiled window fast path *)
+          off; the block engine's windows feed it in bulk *)
   mutable live : Thread.t array;
       (** slots [0, live_n): the live threads, ascending tid — maintained
           at spawn and death instead of folded from [threads] per step *)
@@ -101,6 +100,11 @@ type t = {
           control-transfer links ([Compile]) before chaining into their
           target block; owned by [Block_machine], unused here *)
 }
+
+val link : ?meta:meta -> Program.t -> Link.program
+(** The linked image [create] runs: [Link.link] with the metadata's
+    fail-arm index — the same memo entry, so calling it after [create]
+    costs one list scan. *)
 
 val create :
   ?config:config -> ?meta:meta -> ?hooks:Hooks.bundle -> Program.t -> t
@@ -125,6 +129,12 @@ val thread_summaries : t -> (int * string * string list) list
     engine-independent string ([runnable], [sleeping:N],
     [blocked_lock:NAME], [blocked_event:NAME], [blocked_join:TID],
     [done], [failed]). *)
+
+val thread_frames : t -> int -> (string * string * int * int option) list option
+(** Where thread [tid] stands: its frames, innermost first, as
+    [(function, block label, instruction index, iid)] — the iid is
+    [None] at a terminator. [None] for a tid never spawned.
+    Engine-independent, like {!thread_summaries}. *)
 
 val step : t -> bool
 (** Run one scheduler step; [false] once the program has finished. *)

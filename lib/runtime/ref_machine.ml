@@ -176,8 +176,8 @@ let create ?(config = Machine.default_config) ?meta ?(hooks = Hooks.none)
       flight = hooks.Hooks.hb_flight;
     }
   in
-  Sched.set_tap m.sched hooks.Hooks.hb_tap;
-  Sched.set_feed m.sched hooks.Hooks.hb_feed;
+  Sched.set_tap ?run:hooks.Hooks.hb_tap_run m.sched hooks.Hooks.hb_tap;
+  Sched.set_feed ?run:hooks.Hooks.hb_feed_run m.sched hooks.Hooks.hb_feed;
   let main = Program.func_exn prog prog.main in
   let tid = m.next_tid in
   m.next_tid <- tid + 1;
@@ -998,3 +998,19 @@ let thread_summaries m =
       (tid, status, Locks.held_by m.locks ~tid) :: acc)
     m.threads []
   |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
+
+let thread_frames m tid =
+  match Hashtbl.find_opt m.threads tid with
+  | None -> None
+  | Some th ->
+      Some
+        (List.map
+           (fun (fr : T.frame) ->
+             let instrs = fr.T.block.Block.instrs in
+             ( Fname.name fr.T.func.Func.name,
+               Label.name fr.T.block.Block.label,
+               fr.T.idx,
+               if fr.T.idx < Array.length instrs then
+                 Some instrs.(fr.T.idx).Instr.iid
+               else None ))
+           th.T.stack)

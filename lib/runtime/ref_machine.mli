@@ -41,6 +41,9 @@ val thread_summaries : t -> (int * string * string list) list
 (** Same contract (and byte-identical output) as
     [Machine.thread_summaries]. *)
 
+val thread_frames : t -> int -> (string * string * int * int option) list option
+(** Same contract (and output) as [Machine.thread_frames]. *)
+
 val steps : t -> int
 (** Virtual time: scheduler steps taken so far (idle ticks included). *)
 

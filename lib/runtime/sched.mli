@@ -26,8 +26,21 @@ type t = {
   mutable cursor : int;
   mutable tap : (chosen:int -> eligible:int list -> unit) option;
       (** observes every decision; install via {!set_tap} *)
+  mutable tap_run : (tid:int -> int -> unit) option;
+      (** the tap's forced-run entry: [n] forced decisions of [tid] *)
   mutable feed : (eligible:int list -> int) option;
       (** overrides every decision; install via {!set_feed} *)
+  mutable feed_run : feed_run option;  (** the feed's forced-run entry *)
+}
+
+(** A feed's forced-run entry. *)
+and feed_run = {
+  fr_allow : tid:int -> int;
+      (** how many consecutive forced decisions of [tid] the feed would
+          make from here, consuming none *)
+  fr_take : tid:int -> int -> unit;
+      (** consume [n] such decisions ([n] at most what [fr_allow]
+          admitted) *)
 }
 
 val create : policy -> t
@@ -60,8 +73,46 @@ val rng : t -> Random.State.t
     perturbed timing) stays aligned with the original run during
     replay. *)
 
-val set_tap : t -> (chosen:int -> eligible:int list -> unit) option -> unit
-val set_feed : t -> (eligible:int list -> int) option -> unit
+val set_tap :
+  ?run:(tid:int -> int -> unit) ->
+  t ->
+  (chosen:int -> eligible:int list -> unit) option ->
+  unit
+(** Install (or remove) the tap and its forced-run entry [run] (default
+    none; see {!forced_run}). *)
+
+val set_feed : ?run:feed_run -> t -> (eligible:int list -> int) option -> unit
+(** Install (or remove) the feed and its forced-run entry [run] (default
+    none: the feed then sees every decision one at a time). *)
+
+(** {1 Forced runs}
+
+    The block engine retires a compiled window — consecutive decisions
+    in which exactly one thread is eligible — under one hook call, the
+    scheduler's analogue of [Flight_ring.push_run]. The window's first
+    decision goes through {!choose_idx} as usual, with the machine in
+    that decision's state; it is the only decision of the run that can
+    be a context switch. The remaining decisions are all forced
+    ([eligible = [tid]], chosen = the previous decision) and are
+    accounted after the window retires. *)
+
+val hooked : t -> bool
+(** A tap or a feed is installed. *)
+
+val forced_allow : t -> tid:int -> int
+(** How many forced decisions of [tid] may follow the one just made:
+    [max_int] without a feed, the feed run entry's [fr_allow] with one,
+    [0] for a feed that has no run entry. The engine bounds the window
+    by it, so a decision the feed would refuse is always made through
+    {!choose_idx}, where it diverges exactly as on the per-step
+    engines. *)
+
+val forced_run : t -> tid:int -> int -> unit
+(** Account [n] forced decisions of [tid]: the feed's [fr_take], then
+    the tap's run entry — or, for a tap without one, the per-decision
+    tap called [n] times with [~chosen:tid ~eligible:[tid]]. Such a tap
+    sees the same decision stream, but after the run retired: a tap
+    that reads machine state must do so only at switches. *)
 
 (** {1 Saved scheduler state}
 

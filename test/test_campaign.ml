@@ -255,6 +255,63 @@ let bench_document () =
     "different signature sets disagree" false
     (agree [ ("ref", c); ("fast", divergent) ])
 
+(* ---------------- minimization across engines ---------------- *)
+
+(* The campaign minimizes each unique finding on the block engine,
+   whose windows account the directed feed and the switch-locating tap
+   in bulk. Every failing catalog recording must minimize exactly as on
+   the per-step fast engine: same candidate count, same minimized
+   schedule log (modulo its engine stamp), same switch explanations,
+   same detector report on the minimized schedule. *)
+let minimize_agrees_across_engines () =
+  let module Spec = Conair_bugbench.Bench_spec in
+  let module Registry = Conair_bugbench.Registry in
+  let module Engine = Conair.Runtime.Engine in
+  let module Outcome = Conair.Runtime.Outcome in
+  let module Log = Conair.Replay.Log in
+  let module Minimize = Conair.Replay.Minimize in
+  let failing = ref 0 in
+  List.iter
+    (fun (s : Spec.t) ->
+      let inst = s.Spec.make ~variant:Spec.Buggy ~oracle:true in
+      List.iter
+        (fun policy ->
+          let _, log =
+            Conair.record_run ~config:{ config with policy }
+              ~ident:(Log.ident s.Spec.info.Spec.name) inst.Spec.program
+          in
+          if not (Outcome.is_success log.Log.outcome) then begin
+            incr failing;
+            let name = s.Spec.info.Spec.name in
+            let run engine =
+              match Conair.minimize ~engine log with
+              | Ok m -> m
+              | Error e -> Alcotest.failf "%s: minimize: %s" name e
+            in
+            let f = run Engine.Fast and b = run Engine.Block in
+            Alcotest.(check string) (name ^ ": engine stamp") "block"
+              b.Minimize.mn_log.Log.engine;
+            Alcotest.(check int) (name ^ ": candidate executions")
+              f.Minimize.mn_tests b.Minimize.mn_tests;
+            Alcotest.(check int) (name ^ ": minimized preemptions")
+              f.Minimize.mn_minimized b.Minimize.mn_minimized;
+            Alcotest.(check (list string))
+              (name ^ ": minimized schedule log")
+              (Log.to_lines { f.Minimize.mn_log with Log.engine = "" })
+              (Log.to_lines { b.Minimize.mn_log with Log.engine = "" });
+            Alcotest.(check bool) (name ^ ": switches") true
+              (f.Minimize.mn_switches = b.Minimize.mn_switches);
+            Alcotest.(check string) (name ^ ": report")
+              (Json.to_string (Minimize.to_json f))
+              (Json.to_string (Minimize.to_json b));
+            Alcotest.(check string) (name ^ ": rendering")
+              (Minimize.render f) (Minimize.render b)
+          end)
+        [ Sched.Round_robin; Sched.Random 11 ])
+    (Registry.all @ Registry.extended);
+  Alcotest.(check bool) "the catalog has failing recordings" true
+    (!failing > 0)
+
 let suites =
   [
     ( "campaign",
@@ -271,5 +328,7 @@ let suites =
         Alcotest.test_case "prometheus counters" `Quick campaign_metrics;
         Alcotest.test_case "--seeds syntax" `Quick seed_range_syntax;
         Alcotest.test_case "bench document" `Quick bench_document;
+        Alcotest.test_case "minimize agrees across engines" `Quick
+          minimize_agrees_across_engines;
       ] );
   ]

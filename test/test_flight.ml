@@ -110,9 +110,8 @@ let ring_tiny () =
 
 (* The block engine accounts compiled windows in bulk (push_run); its
    ring must agree entry-for-entry with the fast engine's, which pushes
-   one decision at a time. No recorder tap here — the tap would force
-   the block engine off its window fast path, hiding the bulk path this
-   test exists to check. *)
+   one decision at a time. The ring alone, so nothing but the ring's
+   own bulk path is under test. *)
 let ring_block_bulk_accounting () =
   let inst = instance "MySQL1" Spec.Buggy in
   let run engine =

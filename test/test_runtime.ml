@@ -532,8 +532,9 @@ let compensation_frees_blocks () =
   (* every retry allocated one block; all but the last were released *)
   Alcotest.(check int) "no leak beyond live data" 1
     (match r.machine with
-    | Engine.M_fast m -> Heap.live_blocks m.Machine.heap
-    | _ -> Alcotest.fail "expected the fast engine")
+    | Engine.M_block m ->
+        Heap.live_blocks (Block_machine.machine m).Machine.heap
+    | _ -> Alcotest.fail "expected the block engine (the facade default)")
 
 let retry_counters_per_site () =
   (* Distinct sites get distinct retry budgets. *)

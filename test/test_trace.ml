@@ -119,8 +119,9 @@ let no_trace_no_cost () =
   expect_success r;
   Alcotest.(check bool) "machine has no sink" true
     (match r.machine with
-    | Conair.Runtime.Engine.M_fast m -> m.Machine.trace = None
-    | _ -> Alcotest.fail "expected the fast engine")
+    | Conair.Runtime.Engine.M_block m ->
+        (Conair.Runtime.Block_machine.machine m).Machine.trace = None
+    | _ -> Alcotest.fail "expected the block engine (the facade default)")
 
 let suites =
   [
