@@ -19,7 +19,8 @@
    Gates 2 and 3 share one detector-instrumented sweep per candidate.
    Everything reported here is deterministic in (program, config,
    seeds): counts come from the engines' differential-guaranteed
-   statistics and signatures from Obs.Coverage, so gate results are
+   statistics and signatures from the recorder's decision stream
+   (Recorder.signature, Obs.Coverage's format), so gate results are
    byte-identical across the ref/fast/block engines. *)
 
 open Conair_ir
@@ -28,13 +29,12 @@ module Driver = Conair_replay.Driver
 module Log = Conair_replay.Schedule_log
 module Detect = Conair_race.Detect
 module Report = Conair_race.Report
-module Coverage = Conair_obs.Coverage
 
 type result = { g_gate : string; g_passed : bool; g_detail : string }
 
 (* ---- gate 1: directed replay of the failing schedule -------------- *)
 
-let replay_gate ?(engine = Engine.Fast) ?accept ~log program : result =
+let replay_gate ?(engine = Engine.Block) ?accept ~log program : result =
   let rb = Driver.replay_directed ~engine ~program log in
   let ok_outcome = Outcome.is_success rb.Driver.rb_outcome in
   let ok_outputs =
@@ -62,7 +62,7 @@ type sweep = {
   sw_first_failure : string option;
 }
 
-let sweep ?(engine = Engine.Fast) ?accept ~config ~seeds (p : Program.t) :
+let sweep ?(engine = Engine.Block) ?accept ~config ~seeds (p : Program.t) :
     sweep =
   let failures = ref 0 and rejected = ref 0 in
   let sigs = Hashtbl.create 64 in
@@ -81,13 +81,9 @@ let sweep ?(engine = Engine.Fast) ?accept ~config ~seeds (p : Program.t) :
         engine p
     in
     let outcome = Engine.run m in
-    let s =
-      Coverage.signature ~context:"fix-sweep"
-        ~decisions:(Conair_replay.Recorder.decisions rc)
-        ~preemptions:(Conair_replay.Recorder.preemptions rc)
-        ()
-    in
-    Hashtbl.replace sigs s ();
+    Hashtbl.replace sigs
+      (Conair_replay.Recorder.signature ~context:"fix-sweep" rc)
+      ();
     let report = Detect.report det in
     List.iter
       (fun c -> Hashtbl.replace cycles (Report.cycle_key c) ())

@@ -24,9 +24,10 @@ val replay_gate :
   log:Conair_replay.Schedule_log.t ->
   Program.t ->
   result
-(** Gate 1 against the patched program. Never raises — where the patch
-    makes the recording unfollowable (a thread newly blocks), control
-    falls to the next eligible thread. *)
+(** Gate 1 against the patched program, on [engine] (default [Block],
+    the [Pipeline.default_options] engine). Never raises — where the
+    patch makes the recording unfollowable (a thread newly blocks),
+    control falls to the next eligible thread. *)
 
 type sweep = {
   sw_runs : int;
@@ -45,8 +46,11 @@ val sweep :
   seeds:int ->
   Program.t ->
   sweep
-(** One round-robin run plus [seeds] seeded random runs, each under the
-    race detector and the schedule recorder. *)
+(** One round-robin run plus [seeds] seeded random runs on [engine]
+    (default [Block], as for {!replay_gate}), each under the race
+    detector and the schedule recorder. A run's signature is streamed
+    off the recorder ({!Conair_replay.Recorder.signature}); no decision
+    array is built. *)
 
 val regression_gate : sweep -> result
 (** Gate 2 over a candidate's sweep. *)

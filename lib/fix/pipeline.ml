@@ -35,7 +35,7 @@ type options = {
 
 let default_options =
   {
-    engine = Engine.Fast;
+    engine = Engine.Block;
     fuel = 8_000_000;
     max_retries = 1_000_000;
     max_candidates = 8;
@@ -196,14 +196,15 @@ let run ?(options = default_options) ?accept ~app ~variant (p : Program.t) :
   let config = config_of options in
   let detection = detect_races ~options p in
   let base_cost =
-    Overhead.cost_of ~config ~seeds:options.cost_seeds p
+    Overhead.cost_of ~engine:options.engine ~config
+      ~seeds:options.cost_seeds p
   in
   let hardened_overhead_pct =
     match survival_harden p with
     | None -> None
     | Some h ->
         let c =
-          Overhead.cost_of ~config
+          Overhead.cost_of ~engine:options.engine ~config
             ~meta:(Machine.meta_of_harden h)
             ~seeds:options.cost_seeds h.Harden.program
         in
@@ -270,8 +271,8 @@ let run ?(options = default_options) ?accept ~app ~variant (p : Program.t) :
         let cost =
           if survived then
             Some
-              (Overhead.cost_of ~config ~seeds:options.cost_seeds
-                 patch.Patch.p_program)
+              (Overhead.cost_of ~engine:options.engine ~config
+                 ~seeds:options.cost_seeds patch.Patch.p_program)
           else None
         in
         {

@@ -23,7 +23,7 @@ type options = {
 }
 
 val default_options : options
-(** Fast engine, fuel 8_000_000, 8 candidates, 100-seed sweeps, 50
+(** Block engine, fuel 8_000_000, 8 candidates, 100-seed sweeps, 50
     search seeds, 2000 ddmin tests, 30_000-step order timeout. *)
 
 type candidate = {

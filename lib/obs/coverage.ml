@@ -2,7 +2,7 @@
    race-probe collector, and the per-app coverage map.
 
    Determinism is the load-bearing property. The signature inputs — the
-   recorder's decision/preemption arrays and the race probe's event
+   recorder's decision stream and the race probe's event
    stream — are byte-identical across the ref/fast/block engines (the
    differential guarantee of test_fast_exec), so everything derived here
    is too: the same recorded run yields the same signature no matter
@@ -182,24 +182,91 @@ let observed (c : collector) : observed =
 
 (* --- the signature ------------------------------------------------- *)
 
-let signature ?(context = "") ?(orders = []) ~(decisions : int array)
-    ~(preemptions : int array) () : string =
-  let b = Buffer.create 256 in
-  Buffer.add_string b "conair-sig-v1|c:";
-  Buffer.add_string b context;
-  Buffer.add_string b (Printf.sprintf "|n:%d" (Array.length decisions));
-  Array.iter
-    (fun p ->
-      let from = if p > 0 && p <= Array.length decisions then decisions.(p - 1) else -1 in
-      let chosen =
-        if p >= 0 && p < Array.length decisions then decisions.(p) else -1
-      in
-      Buffer.add_string b (Printf.sprintf "|p:%d:%d>%d" p from chosen))
-    preemptions;
+(* The one writer of the conair-sig-v1 bytes:
+
+     conair-sig-v1|c:CONTEXT|n:N(|p:ORD:FROM>CHOSEN)*(|a:ADDR=ORDER)*
+
+   one [|p:] per preemption ordinal in the order given, FROM/CHOSEN the
+   tids at ORD-1/ORD ([-1] out of range), then the [orders] sorted.
+   A deadlock sweep run has about ten thousand preemptions; a [Printf]
+   per entry would cost more than the run itself, so the decimal digits
+   go straight into one growable byte buffer, which is hashed once. *)
+
+type writer = { mutable buf : Bytes.t; mutable len : int }
+
+(* After [room w k], [k] bytes may be written unchecked. *)
+let room w k =
+  if w.len + k > Bytes.length w.buf then begin
+    let b = Bytes.create (max (w.len + k) (2 * Bytes.length w.buf)) in
+    Bytes.blit w.buf 0 b 0 w.len;
+    w.buf <- b
+  end
+
+let put_char w c =
+  Bytes.unsafe_set w.buf w.len c;
+  w.len <- w.len + 1
+
+let put_string w s =
+  let k = String.length s in
+  room w k;
+  Bytes.unsafe_blit_string s 0 w.buf w.len k;
+  w.len <- w.len + k
+
+(* Digits are taken on the non-positive side, which keeps [min_int]
+   exact: [neg_digits 1 x] counts those of [-x], [put_neg_digits] writes
+   them with the last at [i]. *)
+let rec neg_digits d x = if x <= -10 then neg_digits (d + 1) (x / 10) else d
+
+let rec put_neg_digits b i x =
+  Bytes.unsafe_set b i (Char.unsafe_chr (48 - (x mod 10)));
+  if x <= -10 then put_neg_digits b (i - 1) (x / 10)
+
+let int_room = 20 (* bytes of [string_of_int min_int] *)
+
+(* [x] in decimal, after [room w int_room] *)
+let put_int w x =
+  if x >= 0 && x < 10 then put_char w (Char.unsafe_chr (48 + x))
+  else begin
+    let neg = if x < 0 then x else -x in
+    let d = neg_digits 1 neg in
+    if x < 0 then put_char w '-';
+    put_neg_digits w.buf (w.len + d - 1) neg;
+    w.len <- w.len + d
+  end
+
+let signature_stream ?(context = "") ?(orders = []) ~n ~decision
+    ~preemptions () =
+  let w = { buf = Bytes.create 256; len = 0 } in
+  put_string w "conair-sig-v1|c:";
+  put_string w context;
+  put_string w "|n:";
+  room w int_room;
+  put_int w n;
+  preemptions (fun p ->
+      room w (5 + (3 * int_room));
+      put_char w '|';
+      put_char w 'p';
+      put_char w ':';
+      put_int w p;
+      put_char w ':';
+      put_int w (if p > 0 && p <= n then decision (p - 1) else -1);
+      put_char w '>';
+      put_int w (if p >= 0 && p < n then decision p else -1));
   List.iter
-    (fun (a, t) -> Buffer.add_string b (Printf.sprintf "|a:%s=%s" a t))
+    (fun (a, t) ->
+      put_string w "|a:";
+      put_string w a;
+      put_string w "=";
+      put_string w t)
     (List.sort compare orders);
-  Digest.to_hex (Digest.string (Buffer.contents b))
+  Digest.to_hex (Digest.subbytes w.buf 0 w.len)
+
+let signature ?context ?orders ~(decisions : int array)
+    ~(preemptions : int array) () : string =
+  signature_stream ?context ?orders ~n:(Array.length decisions)
+    ~decision:(Array.get decisions)
+    ~preemptions:(fun f -> Array.iter f preemptions)
+    ()
 
 (* --- the coverage map ---------------------------------------------- *)
 

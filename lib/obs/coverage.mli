@@ -68,6 +68,32 @@ val probe : collector -> Race_probe.probe
 val observed : collector -> observed
 (** The canonical summary of everything seen so far. *)
 
+val signature_stream :
+  ?context:string ->
+  ?orders:(string * string) list ->
+  n:int ->
+  decision:(int -> int) ->
+  preemptions:((int -> unit) -> unit) ->
+  unit ->
+  string
+(** The canonical interleaving signature, and its one implementation: an
+    MD5 hex digest of the bytes
+
+    {v conair-sig-v1|c:CONTEXT|n:N(|p:ORD:FROM>CHOSEN)*(|a:ADDR=ORDER)* v}
+
+    for a run of [n] decisions, where [decision i] is the tid chosen at
+    ordinal [i] (called only for [0 <= i < n]). [preemptions f] calls
+    [f] on each preemption ordinal in turn; each gives one [|p:] entry
+    with FROM and CHOSEN the tids at ordinals [ORD-1] and [ORD], [-1]
+    where that ordinal is out of range. The [orders] (default none)
+    follow, sorted, one [|a:] entry each. [context] (default [""]) is
+    mixed in verbatim — pass the app/case name or program MD5 so
+    identical interleaving shapes of different programs do not collide.
+    Numbers are plain decimal. The digits are written straight into one
+    buffer, hashed once; callers stream the preemptions off whatever
+    representation they hold ([Conair_replay.Recorder.signature] reads
+    its byte stream) instead of building arrays. *)
+
 val signature :
   ?context:string ->
   ?orders:(string * string) list ->
@@ -75,12 +101,8 @@ val signature :
   preemptions:int array ->
   unit ->
   string
-(** The canonical interleaving signature: an MD5 hex digest over the
-    preemption-point sequence ([(ordinal, from-tid, chosen-tid)] per
-    preemption, plus the decision count) and the per-address access-order
-    tallies of [orders] (default none). [context] (default [""]) is mixed
-    in verbatim — pass the app/case name or program MD5 so identical
-    interleaving shapes of different programs do not collide. *)
+(** {!signature_stream} over a decision array and the ordinals of its
+    preemptive switches, e.g. a schedule log's. *)
 
 (** {1 The coverage map} *)
 

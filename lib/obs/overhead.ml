@@ -328,12 +328,13 @@ type cost = {
   k_mean_instrs : float;
 }
 
-let cost_of ?(config = Machine.default_config) ?meta ?(seeds = [ 1; 2; 3 ])
-    (p : Program.t) : cost =
+let cost_of ?(engine = Engine.Block) ?(config = Machine.default_config) ?meta
+    ?(seeds = [ 1; 2; 3 ]) (p : Program.t) : cost =
   let instrs = ref 0 and steps = ref 0 and n = ref 0 in
   let one policy =
-    let m, _ = Machine.run_program ~config:{ config with policy } ?meta p in
-    let st = Machine.stats m in
+    let m = Engine.create ~config:{ config with policy } ?meta engine p in
+    ignore (Engine.run m : Outcome.t);
+    let st = Engine.stats m in
     instrs := !instrs + st.Stats.instrs;
     steps := !steps + st.Stats.steps;
     incr n

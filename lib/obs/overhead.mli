@@ -114,14 +114,17 @@ type cost = {
 }
 
 val cost_of :
+  ?engine:Conair_runtime.Engine.t ->
   ?config:Conair_runtime.Machine.config ->
   ?meta:Conair_runtime.Machine.meta ->
   ?seeds:int list ->
   Program.t ->
   cost
 (** One deterministic round-robin run plus one seeded random run per
-    entry of [seeds] (default [[1; 2; 3]]), totalled. [meta] carries the
-    recovery metadata when costing a hardened program. *)
+    entry of [seeds] (default [[1; 2; 3]]), totalled, on [engine]
+    (default [Block], the fix pipeline's; the counts are identical on
+    every engine). [meta] carries the recovery metadata when costing a
+    hardened program. *)
 
 val cost_overhead_pct : base:cost -> cost -> float
 (** Mean-instruction overhead of a measured program relative to [base],

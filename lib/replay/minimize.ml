@@ -199,9 +199,9 @@ let minimize ?(engine = Engine.Block) ?(max_tests = 2000) ?(detect = true)
              decisions all re-choose the previous thread. So the tap reads
              the machine only here, where it stands in that decision's
              state on every engine. *)
-          let tap ~chosen ~eligible =
+          let tap ~chosen ~tid_of n =
             (if !prev >= 0 && chosen <> !prev then
-               let preemptive = List.mem !prev eligible in
+               let preemptive = Sched.eligible_mem ~tid_of n !prev in
                switches :=
                  {
                    sw_index = Recorder.count recorder;
@@ -214,7 +214,7 @@ let minimize ?(engine = Engine.Block) ?(max_tests = 2000) ?(detect = true)
                  }
                  :: !switches);
             prev := chosen;
-            Recorder.tap recorder ~chosen ~eligible
+            Recorder.tap recorder ~chosen ~tid_of n
           in
           let tap_run ~tid n =
             prev := tid;

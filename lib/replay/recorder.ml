@@ -63,9 +63,9 @@ let append r e count =
   end;
   r.n <- r.n + count
 
-let tap r ~chosen ~eligible =
+let tap r ~chosen ~tid_of n =
   let preemptive =
-    chosen <> r.prev && r.prev >= 0 && List.mem r.prev eligible
+    chosen <> r.prev && r.prev >= 0 && Sched.eligible_mem ~tid_of n r.prev
   in
   let e = (2 * chosen) + if preemptive then 1 else 0 in
   if preemptive then r.npreempt <- r.npreempt + 1;
@@ -108,13 +108,28 @@ let decisions r =
     done;
   d
 
+(* [f] on the ordinal of every preemptive decision, ascending *)
+let iter_preemptions r f =
+  if r.wide then
+    for i = 0 to r.n - 1 do
+      if entry r i land 1 = 1 then f i
+    done
+  else
+    for i = 0 to r.n - 1 do
+      if Char.code (Bytes.unsafe_get r.buf i) land 1 = 1 then f i
+    done
+
 let preemptions r =
   let p = Array.make r.npreempt 0 in
   let j = ref 0 in
-  for i = 0 to r.n - 1 do
-    if entry r i land 1 = 1 then begin
+  iter_preemptions r (fun i ->
       p.(!j) <- i;
-      incr j
-    end
-  done;
+      incr j);
   p
+
+(* No decision or preemption array: the signature streams the entries
+   straight off the buffer. *)
+let signature ?context ?orders r =
+  Conair_obs.Coverage.signature_stream ?context ?orders ~n:r.n
+    ~decision:(fun i -> entry r i lsr 1)
+    ~preemptions:(iter_preemptions r) ()

@@ -9,7 +9,7 @@ type t
 
 val create : unit -> t
 
-val tap : t -> chosen:int -> eligible:int list -> unit
+val tap : t -> Sched.tap
 (** The tap itself — exposed so callers can compose it with their own
     observation in a single scheduler tap. *)
 
@@ -31,3 +31,10 @@ val count : t -> int
 val decisions : t -> int array
 val preemptions : t -> int array
 (** Ordinals into {!decisions} of the preemptive switches, ascending. *)
+
+val signature :
+  ?context:string -> ?orders:(string * string) list -> t -> string
+(** The interleaving signature of the recording so far, streamed off the
+    recorder's own buffer: equal to
+    [Conair_obs.Coverage.signature ?context ?orders ~decisions:(decisions t)
+    ~preemptions:(preemptions t) ()] without building either array. *)

@@ -1504,41 +1504,49 @@ let compile_block ~probe (prog : program) (lp : Link.program)
    not — and counts the passes begun at its first instruction. On the
    second, it compiles the block, installs it in place of the stub and
    carries on with the real code, re-gating a chain on its real need so
-   a window never runs past its budget. Entry points read [fr.idx]
-   (every transfer sets it, and drivers call at it). Threads racing
-   through a stub may miscount its passes or compile it twice; either
-   way they install equal code. *)
-let stub ~probe (prog : program) (lp : Link.program) (f : Link.lfunc)
-    (blk : Link.lblock) : cblock =
-  let n = Array.length blk.Link.lb_instrs in
-  (* where [compile_block] puts [t_sched] stoppers, and all stoppers *)
-  let ends_window =
-    Array.init (n + 1) (fun k ->
-        if k = n then blk.Link.lb_term = Link.L_exit
-        else schedulable blk.Link.lb_instrs.(k).Link.li_op)
+   a window never runs past its budget. Threads racing through a stub
+   may miscount its passes or compile it twice; either way they install
+   equal code.
+
+   Stubs are most of a cached image, so they carry no per-block
+   closures: the two stub entries below are shared by every stub of the
+   image and find their block from the frame — every transfer sets
+   [fr.block] and [fr.idx] before entering a slot, and drivers call at
+   them — and stubs of equal length share their entry and need
+   arrays. [passes] counts per block, [-1] once its code is installed:
+   a stale stub (one a driver fetched before the install) then runs the
+   installed code. *)
+let stubs ~probe (prog : program) (lp : Link.program) =
+  let passes =
+    Array.map
+      (fun (f : Link.lfunc) -> Array.make (Array.length f.Link.lf_blocks) 0)
+      lp.Link.lp_funcs
   in
-  let stoppers =
-    Array.mapi
-      (fun k e ->
-        e || (probe && k < n && memory_access blk.Link.lb_instrs.(k).Link.li_op))
-      ends_window
-  in
-  let passes = ref 0 and code = ref None in
   let hot (fr : Thread.frame) =
-    match !code with
-    | Some _ as c -> c
-    | None ->
-        if fr.Thread.idx = 0 then incr passes;
-        if !passes < 2 then None
-        else begin
-          let cb = compile_block ~probe prog lp f blk in
-          prog.(f.Link.lf_id).(blk.Link.lb_index) <- cb;
-          code := Some cb;
-          !code
-        end
+    let f = fr.Thread.func and blk = fr.Thread.block in
+    let fid = f.Link.lf_id and b = blk.Link.lb_index in
+    let ps = passes.(fid) in
+    if ps.(b) < 0 then Some prog.(fid).(b)
+    else begin
+      if fr.Thread.idx = 0 then ps.(b) <- ps.(b) + 1;
+      if ps.(b) < 2 then None
+      else begin
+        let cb = compile_block ~probe prog lp f blk in
+        prog.(fid).(b) <- cb;
+        ps.(b) <- -1;
+        Some cb
+      end
+    end
   in
+  (* where [compile_block] puts [t_sched] stoppers *)
   let cold (fr : Thread.frame) =
-    if ends_window.(fr.Thread.idx) then t_sched else t_generic
+    let blk = fr.Thread.block and k = fr.Thread.idx in
+    let ends_window =
+      if k = Array.length blk.Link.lb_instrs then
+        blk.Link.lb_term = Link.L_exit
+      else schedulable blk.Link.lb_instrs.(k).Link.li_op
+    in
+    if ends_window then t_sched else t_generic
   in
   let go_chain : chain =
    fun m th fr ->
@@ -1556,14 +1564,34 @@ let stub ~probe (prog : program) (lp : Link.program) (f : Link.lfunc)
     | None -> cold fr
     | Some cb -> cb.cb_one.(fr.Thread.idx) m th fr
   in
-  {
-    cb_chain = Array.make (n + 1) go_chain;
-    cb_one = Array.make (n + 1) go_one;
-    cb_iids =
-      Array.map (fun (j : Link.linstr) -> j.Link.li_iid) blk.Link.lb_instrs;
-    cb_need = Array.make (n + 1) 1;
-    cb_sched = stoppers;
-  }
+  let by_length = Hashtbl.create 16 in
+  fun (blk : Link.lblock) : cblock ->
+    let n = Array.length blk.Link.lb_instrs in
+    let chain, one, need =
+      match Hashtbl.find_opt by_length n with
+      | Some entries -> entries
+      | None ->
+          let entries =
+            ( Array.make (n + 1) go_chain,
+              Array.make (n + 1) go_one,
+              Array.make (n + 1) 1 )
+          in
+          Hashtbl.replace by_length n entries;
+          entries
+    in
+    {
+      cb_chain = chain;
+      cb_one = one;
+      cb_iids =
+        Array.map (fun (j : Link.linstr) -> j.Link.li_iid) blk.Link.lb_instrs;
+      cb_need = need;
+      cb_sched =
+        Array.init (n + 1) (fun k ->
+            if k = n then blk.Link.lb_term = Link.L_exit
+            else
+              let op = blk.Link.lb_instrs.(k).Link.li_op in
+              schedulable op || (probe && memory_access op));
+    }
 
 let compile_uncached ~probe (lp : Link.program) : program =
   (* Two phases so transfer links can capture their target function's
@@ -1577,12 +1605,11 @@ let compile_uncached ~probe (lp : Link.program) : program =
         Array.make (Array.length f.Link.lf_blocks) dummy_cblock)
       lp.Link.lp_funcs
   in
+  let stub = stubs ~probe prog lp in
   Array.iteri
     (fun fi (f : Link.lfunc) ->
       let fcbs = prog.(fi) in
-      Array.iteri
-        (fun bi blk -> fcbs.(bi) <- stub ~probe prog lp f blk)
-        f.Link.lf_blocks)
+      Array.iteri (fun bi blk -> fcbs.(bi) <- stub blk) f.Link.lf_blocks)
     lp.Link.lp_funcs;
   prog
 

@@ -50,7 +50,7 @@ type bundle = {
   hb_profile : Profile.probe option;
   hb_race : Race_probe.probe option;
   hb_flight : Flight_ring.t option;
-  hb_tap : (chosen:int -> eligible:int list -> unit) option;
+  hb_tap : Sched.tap option;
   hb_tap_run : (tid:int -> int -> unit) option;
   hb_feed : (eligible:int list -> int) option;
   hb_feed_run : Sched.feed_run option;

@@ -33,7 +33,7 @@ type bundle = {
   hb_profile : Profile.probe option;
   hb_race : Race_probe.probe option;
   hb_flight : Flight_ring.t option;
-  hb_tap : (chosen:int -> eligible:int list -> unit) option;
+  hb_tap : Sched.tap option;
   hb_tap_run : (tid:int -> int -> unit) option;
       (** the tap's forced-run entry ({!Sched.forced_run}) *)
   hb_feed : (eligible:int list -> int) option;
@@ -49,7 +49,7 @@ val bundle :
   ?profile:Profile.probe ->
   ?race:Race_probe.probe ->
   ?flight:Flight_ring.t ->
-  ?tap:(chosen:int -> eligible:int list -> unit) ->
+  ?tap:Sched.tap ->
   ?tap_run:(tid:int -> int -> unit) ->
   ?feed:(eligible:int list -> int) ->
   ?feed_run:Sched.feed_run ->

@@ -47,11 +47,17 @@ type policy =
   | Round_robin  (** strict rotation among eligible threads; rng unused *)
   | Random of int  (** uniform choice, seeded LXM ([Random.State]) *)
 
+(* A tap sees the ready set as an index view — [tid_of i] for [i] in
+   [0, n), ascending — never as a list: the engines already hold it that
+   way, and building a list per decision was about a third of the
+   recorder's cost in multi-eligible phases. *)
+type tap = chosen:int -> tid_of:(int -> int) -> int -> unit
+
 type t = {
   policy : policy;
   mutable rng : Random.State.t;
   mutable cursor : int;
-  mutable tap : (chosen:int -> eligible:int list -> unit) option;
+  mutable tap : tap option;
   mutable tap_run : (tid:int -> int -> unit) option;
   mutable feed : (eligible:int list -> int) option;
   mutable feed_run : feed_run option;
@@ -128,8 +134,15 @@ let mirror t ~eligible chosen =
       | Random _ ->
           ignore (Random.State.int t.rng (List.length eligible)))
 
+let rec eligible_mem ~tid_of n tid =
+  n > 0 && (tid_of (n - 1) = tid || eligible_mem ~tid_of (n - 1) tid)
+
 let notify t ~chosen ~eligible =
-  match t.tap with None -> () | Some f -> f ~chosen ~eligible
+  match t.tap with
+  | None -> ()
+  | Some f ->
+      let a = Array.of_list eligible in
+      f ~chosen ~tid_of:(Array.unsafe_get a) (Array.length a)
 
 let hooked t = match (t.tap, t.feed) with None, None -> false | _ -> true
 
@@ -155,8 +168,8 @@ let choose t eligible =
     [i], ascending). Consumes the rng and moves the cursor exactly as
     [choose] does on the equivalent list, so the two engines draw the
     same random stream. The policy picks by index; the eligible list is
-    materialized only for a tap or a feed, which then see exactly what
-    the list-based engine's hooks see. *)
+    materialized only for a feed; a tap gets the index view itself. Both
+    see exactly what the list-based engine's hooks see. *)
 let choose_idx t ~tid_of n =
   if n <= 0 then invalid_arg "Sched.choose_idx: no eligible thread"
   else
@@ -177,15 +190,13 @@ let choose_idx t ~tid_of n =
                 i
             | Random _ -> Random.State.int t.rng n
         in
-        (match t.tap with
-        | None -> ()
-        | Some f -> f ~chosen:(tid_of k) ~eligible:(List.init n tid_of));
+        (match t.tap with None -> () | Some f -> f ~chosen:(tid_of k) ~tid_of n);
         k
     | Some f ->
         let eligible = List.init n tid_of in
         let chosen = f ~eligible in
         mirror t ~eligible chosen;
-        notify t ~chosen ~eligible;
+        (match t.tap with None -> () | Some f -> f ~chosen ~tid_of n);
         let rec index i =
           if i >= n then
             invalid_arg "Sched.choose_idx: fed an ineligible thread"
@@ -219,9 +230,9 @@ let forced_run t ~tid n =
         match t.tap with
         | None -> ()
         | Some f ->
-            let eligible = [ tid ] in
+            let tid_of _ = tid in
             for _ = 1 to n do
-              f ~chosen:tid ~eligible
+              f ~chosen:tid ~tid_of 1
             done)
   end
 

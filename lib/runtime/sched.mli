@@ -20,11 +20,17 @@ type policy =
   | Round_robin  (** strict rotation among eligible threads; rng unused *)
   | Random of int  (** uniform choice, seeded LXM ([Random.State]) *)
 
+type tap = chosen:int -> tid_of:(int -> int) -> int -> unit
+(** A decision observer: [tap ~chosen ~tid_of n] is told the chosen tid
+    and the eligible set as an index view — the [n] tids [tid_of 0] ..
+    [tid_of (n - 1)], ascending (see {!eligible_mem}). No list is built
+    for it; [tid_of] is valid only during the call. *)
+
 type t = {
   policy : policy;
   mutable rng : Random.State.t;
   mutable cursor : int;
-  mutable tap : (chosen:int -> eligible:int list -> unit) option;
+  mutable tap : tap option;
       (** observes every decision; install via {!set_tap} *)
   mutable tap_run : (tid:int -> int -> unit) option;
       (** the tap's forced-run entry: [n] forced decisions of [tid] *)
@@ -53,9 +59,10 @@ val choose_idx : t -> tid_of:(int -> int) -> int -> int
 (** [choose_idx t ~tid_of n] picks an index in [0, n): the array-based
     equivalent of [choose] over the [n] eligible threads whose ids
     [tid_of] reports in ascending order. Identical cursor movement and
-    rng consumption, so both engines see the same random stream. With a
-    tap or feed installed the eligible list is materialized and the hooks
-    see exactly what the list-based engine's hooks would see.
+    rng consumption, so both engines see the same random stream. A tap
+    gets the same index view; the eligible list is materialized only for
+    a feed. The hooks see exactly what the list-based engine's hooks
+    would see.
     @raise Invalid_argument when [n <= 0]. *)
 
 val rng : t -> Random.State.t
@@ -73,13 +80,13 @@ val rng : t -> Random.State.t
     perturbed timing) stays aligned with the original run during
     replay. *)
 
-val set_tap :
-  ?run:(tid:int -> int -> unit) ->
-  t ->
-  (chosen:int -> eligible:int list -> unit) option ->
-  unit
+val set_tap : ?run:(tid:int -> int -> unit) -> t -> tap option -> unit
 (** Install (or remove) the tap and its forced-run entry [run] (default
     none; see {!forced_run}). *)
+
+val eligible_mem : tid_of:(int -> int) -> int -> int -> bool
+(** [eligible_mem ~tid_of n tid]: [tid] is one of a tap's [n] eligible
+    tids. Allocates nothing. *)
 
 val set_feed : ?run:feed_run -> t -> (eligible:int list -> int) option -> unit
 (** Install (or remove) the feed and its forced-run entry [run] (default
@@ -110,9 +117,10 @@ val forced_allow : t -> tid:int -> int
 val forced_run : t -> tid:int -> int -> unit
 (** Account [n] forced decisions of [tid]: the feed's [fr_take], then
     the tap's run entry — or, for a tap without one, the per-decision
-    tap called [n] times with [~chosen:tid ~eligible:[tid]]. Such a tap
-    sees the same decision stream, but after the run retired: a tap
-    that reads machine state must do so only at switches. *)
+    tap called [n] times with [~chosen:tid] and [tid] the one eligible
+    thread. Such a tap sees the same decision stream, but after the run
+    retired: a tap that reads machine state must do so only at
+    switches. *)
 
 (** {1 Saved scheduler state}
 

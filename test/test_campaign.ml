@@ -37,6 +37,33 @@ let signature_properties () =
     (base = s ~orders:[ ("global:x", "t0w@b;t1r@c;") ] ~preemptions:[| 1; 3 |] ());
   Alcotest.(check int) "MD5 hex digest" 32 (String.length base)
 
+(* The conair-sig-v1 byte format, pinned: these digests were computed
+   with the original [Printf]-based formatter, so any change to the
+   rendered bytes (a separator, an ordinal, the "|n:"
+   count, out-of-range ordinals as -1, negative and extreme values,
+   order sorting) fails here. *)
+let signature_format_pinned () =
+  let check name expected got = Alcotest.(check string) name expected got in
+  check "empty decisions" "5d1159f2d5806d7d6f0a621135c9d19d"
+    (Coverage.signature ~decisions:[||] ~preemptions:[||] ());
+  check "empty decisions with context" "06fc2ffe13bd6e17f68341b05ec93c7d"
+    (Coverage.signature ~context:"app" ~decisions:[||] ~preemptions:[||] ());
+  check "out-of-range ordinals" "cacc61bb686510dbfab5df66332e9aad"
+    (Coverage.signature ~decisions:[| 0; 1; 0 |]
+       ~preemptions:[| -2; 0; 3; 7 |] ());
+  check "context and orders" "099d049123462b79c50f7915d55342dd"
+    (Coverage.signature ~context:"fix-sweep"
+       ~orders:[ ("global:y", "t1w@b2;"); ("global:x", "t0w@b;t1r@c;") ]
+       ~decisions:[| 0; 1; 0; 1; 12; 130 |]
+       ~preemptions:[| 1; 3; 4; 5 |] ());
+  check "multi-digit tids" "332c2829767346f359c1d4bb5b3b71d9"
+    (Coverage.signature ~decisions:[| 0; 300; 1; 300 |]
+       ~preemptions:[| 1; 3 |] ());
+  check "negative and extreme values" "71978a46b51d16b1b63f1885676667df"
+    (Coverage.signature
+       ~decisions:[| min_int; -12; max_int; 1234567 |]
+       ~preemptions:[| 1; 2; 3; -45 |] ())
+
 (* The facade signature of a real recorded run is stable across repeated
    recordings — the restart-determinism property at the single-run
    level. *)
@@ -317,6 +344,8 @@ let suites =
     ( "campaign",
       [
         Alcotest.test_case "signature properties" `Quick signature_properties;
+        Alcotest.test_case "signature format pinned" `Quick
+          signature_format_pinned;
         Alcotest.test_case "signature stable across recordings" `Quick
           signature_stable_across_recordings;
         Alcotest.test_case "coverage map" `Quick coverage_map;

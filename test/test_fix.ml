@@ -365,30 +365,77 @@ let clean_variant_quiet () =
 
 (* --- report determinism -------------------------------------------- *)
 
+(* The @fix set: one atomicity violation and two deadlocks, whose
+   multi-eligible phases give the densest preemption streams. *)
+let fix_apps = [ "MySQL1"; "HawkNL"; "MozillaJS" ]
+
+let identity_options =
+  { Pipeline.default_options with sweep_seeds = 16; search_seeds = 5 }
+
+let fix_report ?(options = identity_options) name =
+  let inst = instance name Spec.Buggy in
+  Pipeline.run ~options ~accept:inst.Spec.accept ~app:name ~variant:"buggy"
+    inst.Spec.program
+
+(* Each app's report at the library default engine, byte for byte on the
+   other two. *)
 let json_engine_identity () =
-  let inst = instance "HawkNL" Spec.Buggy in
-  let report_on engine =
-    let options =
-      {
-        Pipeline.default_options with
-        engine;
-        sweep_seeds = 16;
-        search_seeds = 5;
-      }
-    in
-    let t =
-      Pipeline.run ~options ~accept:inst.Spec.accept ~app:"HawkNL"
-        ~variant:"buggy" inst.Spec.program
-    in
-    Json.to_string (Pipeline.to_json t)
+  List.iter
+    (fun name ->
+      let json options =
+        Json.to_string (Pipeline.to_json (fix_report ~options name))
+      in
+      let default = json identity_options in
+      List.iter
+        (fun engine ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s: %s report is byte-identical" name
+               (Conair.Runtime.Engine.name engine))
+            default
+            (json { identity_options with engine }))
+        Conair.Runtime.Engine.[ Ref; Fast ])
+    fix_apps
+
+(* Gates.sweep — runs, failures, rejections, distinct signatures, cycle
+   keys — agrees across the engines on every candidate of the @fix set
+   and on the unpatched baseline. *)
+let sweep_engine_identity () =
+  let config =
+    {
+      Machine.default_config with
+      fuel = identity_options.Pipeline.fuel;
+      max_retries = identity_options.Pipeline.max_retries;
+    }
   in
-  let fast = report_on Conair.Runtime.Engine.Fast in
-  Alcotest.(check string) "ref report is byte-identical"
-    fast
-    (report_on Conair.Runtime.Engine.Ref);
-  Alcotest.(check string) "block report is byte-identical"
-    fast
-    (report_on Conair.Runtime.Engine.Block)
+  List.iter
+    (fun name ->
+      let inst = instance name Spec.Buggy in
+      let programs =
+        ("baseline", inst.Spec.program)
+        :: List.map
+             (fun (c : Pipeline.candidate) ->
+               (c.c_patch.Patch.p_id, c.c_patch.Patch.p_program))
+             (fix_report name).Pipeline.fx_candidates
+      in
+      Alcotest.(check bool) (name ^ ": has candidates") true
+        (List.length programs > 1);
+      List.iter
+        (fun (id, p) ->
+          let sweep engine =
+            Gates.sweep ~engine ~accept:inst.Spec.accept ~config
+              ~seeds:identity_options.Pipeline.sweep_seeds p
+          in
+          let block = sweep Conair.Runtime.Engine.Block in
+          List.iter
+            (fun engine ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s %s: %s sweep" name id
+                   (Conair.Runtime.Engine.name engine))
+                true
+                (sweep engine = block))
+            Conair.Runtime.Engine.[ Ref; Fast ])
+        programs)
+    fix_apps
 
 (* --- docs/FIXING.md ------------------------------------------------ *)
 
@@ -467,6 +514,9 @@ let suites =
         case "clean variant stays quiet" clean_variant_quiet;
       ] );
     ( "fix.guarantees",
-      [ slow_case "engines agree on the report" json_engine_identity ] );
+      [
+        slow_case "engines agree on the report" json_engine_identity;
+        slow_case "engines agree on every sweep" sweep_engine_identity;
+      ] );
     ("fix.docs", [ slow_case "FIXING.md walkthrough" fixing_doc_walkthrough ]);
   ]

@@ -17,6 +17,7 @@ module Sched = Conair.Runtime.Sched
 module Trace = Conair.Runtime.Trace
 module Outcome = Conair.Runtime.Outcome
 module Json = Conair.Obs.Json
+module Coverage = Conair.Obs.Coverage
 module Jsonl = Conair.Obs.Jsonl
 module Registry = Conair_bugbench.Registry
 module Spec = Conair_bugbench.Bench_spec
@@ -348,20 +349,75 @@ let divergence_inside_forced_run () =
 (* The recorder keeps one byte per decision while every tid fits and
    widens for good when one does not: streams on both sides of the
    switch, preemption classification included, come back intact. *)
-let recorder_wide_tids () =
+let wide_recording () =
   let r = Recorder.create () in
-  let feed (chosen, eligible) = Recorder.tap r ~chosen ~eligible in
+  let feed (chosen, eligible) =
+    let a = Array.of_list eligible in
+    Recorder.tap r ~chosen ~tid_of:(Array.get a) (Array.length a)
+  in
   List.iter feed [ (0, [ 0 ]); (1, [ 0; 1 ]); (1, [ 1 ]) ];
   Recorder.tap_run r ~tid:1 3;
   List.iter feed [ (300, [ 1; 300 ]); (1, [ 1 ]); (300, [ 300 ]) ];
   Recorder.tap_run r ~tid:300 2;
   List.iter feed [ (2, [ 2; 300 ]) ];
-  Alcotest.(check (array int)) "decisions"
-    [| 0; 1; 1; 1; 1; 1; 300; 1; 300; 300; 300; 2 |]
+  r
+
+let wide_decisions = [| 0; 1; 1; 1; 1; 1; 300; 1; 300; 300; 300; 2 |]
+let wide_preemptions = [| 1; 6; 11 |]
+
+let recorder_wide_tids () =
+  let r = wide_recording () in
+  Alcotest.(check (array int)) "decisions" wide_decisions
     (Recorder.decisions r);
-  Alcotest.(check (array int)) "preemptions" [| 1; 6; 11 |]
+  Alcotest.(check (array int)) "preemptions" wide_preemptions
     (Recorder.preemptions r);
   Alcotest.(check int) "count" 12 (Recorder.count r)
+
+(* The recorder's signature, streamed off its byte buffer, is
+   [Coverage.signature] of the arrays it records: every catalog app
+   under round-robin and ten seeded schedules on all three engines (the
+   ref engine taps through the list-based [Sched.choose], fast and block
+   through the index view), an empty recording, and the widening
+   fixture's eight-byte entries. *)
+let recorder_signature_streams () =
+  let orders = [ ("global:x", "t0w@b;t1r@c;") ] in
+  let check name r =
+    Alcotest.(check string) name
+      (Coverage.signature ~context:"ctx" ~orders
+         ~decisions:(Recorder.decisions r)
+         ~preemptions:(Recorder.preemptions r) ())
+      (Recorder.signature ~context:"ctx" ~orders r)
+  in
+  List.iter
+    (fun (s : Spec.t) ->
+      let p = (s.make ~variant:Spec.Buggy ~oracle:true).program in
+      List.iter
+        (fun policy ->
+          List.iter
+            (fun engine ->
+              let r = Recorder.create () in
+              let m =
+                Engine.create ~config:(config policy) ~hooks:(Recorder.hooks r)
+                  engine p
+              in
+              ignore (Engine.run m : Outcome.t);
+              check
+                (Printf.sprintf "%s, %s, %s" s.info.name
+                   (match policy with
+                   | Sched.Round_robin -> "round-robin"
+                   | Sched.Random n -> Printf.sprintf "random:%d" n)
+                   (Engine.name engine))
+                r)
+            Engine.all)
+        (Sched.Round_robin :: List.init 10 (fun i -> Sched.Random (i + 1))))
+    (Registry.all @ Registry.extended);
+  check "empty recording" (Recorder.create ());
+  let r = wide_recording () in
+  check "widened recording" r;
+  Alcotest.(check string) "widened recording, against its stream"
+    (Coverage.signature ~decisions:wide_decisions
+       ~preemptions:wide_preemptions ())
+    (Recorder.signature r)
 
 let wrong_program () =
   let _, log = recorded_tutorial () in
@@ -618,6 +674,8 @@ let suites =
             facade_self_contained;
           case "save/load round trip" save_load_roundtrip;
           case "recorder widens past one-byte tids" recorder_wide_tids;
+          case "recorder signature streams Coverage.signature"
+            recorder_signature_streams;
         ] );
     ( "replay.divergence",
       [
