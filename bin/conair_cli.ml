@@ -12,6 +12,11 @@
    - [replay --log F]  re-execute a recorded schedule, inspect any step
    - [minimize --log F] shrink a failing schedule to its essential switches
 
+   The job kinds the serve daemon also runs (run, file, report, harden,
+   races, minimize, fix) execute through [Conair_server.Job], so their
+   reports, bundles and exit codes are the daemon's; this file parses
+   flags, renders text and writes files.
+
    Examples:
      conair_cli analyze HawkNL
      conair_cli run MozillaXP --hardened --variant buggy
@@ -25,16 +30,25 @@
 open Cmdliner
 module Spec = Conair_bugbench.Bench_spec
 module Registry = Conair_bugbench.Registry
+module Protocol = Conair_server.Protocol
+module Job = Conair_server.Job
 module Machine = Conair.Runtime.Machine
 module Engine = Conair.Runtime.Engine
 module Hooks = Conair.Runtime.Hooks
 module Outcome = Conair.Runtime.Outcome
-module Sched = Conair.Runtime.Sched
 module Stats = Conair.Runtime.Stats
 module Trace = Conair.Runtime.Trace
 module Plan = Conair.Analysis.Plan
 module Obs = Conair.Obs
 module Replay = Conair.Replay
+
+(* Print the error and exit 1, or go on with the value. *)
+let ( let@ ) r k =
+  match r with
+  | Error e ->
+      prerr_endline e;
+      1
+  | Ok v -> k v
 
 (* --- shared arguments --------------------------------------------- *)
 
@@ -44,8 +58,8 @@ let app_arg =
 
 let variant_arg =
   let doc = "Program variant: buggy (failure-inducing sleeps) or clean." in
-  let v = Arg.enum [ ("buggy", Spec.Buggy); ("clean", Spec.Clean) ] in
-  Arg.(value & opt v Spec.Buggy & info [ "variant" ] ~doc)
+  let v = Arg.enum [ ("buggy", "buggy"); ("clean", "clean") ] in
+  Arg.(value & opt v "buggy" & info [ "variant" ] ~doc)
 
 let oracle_arg =
   let doc =
@@ -54,10 +68,17 @@ let oracle_arg =
   in
   Arg.(value & flag & info [ "oracle" ] ~doc)
 
+(* APP, --variant and --oracle, resolved to the program a job runs *)
+let target_term =
+  let resolve app variant oracle =
+    Job.resolve (Protocol.Bench { app; variant; oracle })
+  in
+  Term.(const resolve $ app_arg $ variant_arg $ oracle_arg)
+
 let fuel_arg =
   Arg.(
     value
-    & opt int 8_000_000
+    & opt int Protocol.default_exec.fuel
     & info [ "fuel" ] ~doc:"Scheduler-step budget before giving up.")
 
 let seed_arg =
@@ -70,7 +91,7 @@ let seed_arg =
 let max_retries_arg =
   Arg.(
     value
-    & opt int 1_000_000
+    & opt int Protocol.default_exec.max_retries
     & info [ "max-retries" ] ~doc:"Per-site recovery retry budget.")
 
 let no_optimize_arg =
@@ -106,30 +127,21 @@ let engine_arg =
      three agree bit-for-bit on every observable; pick by speed."
   in
   let e = Arg.enum (List.map (fun e -> (Engine.name e, e)) Engine.all) in
-  Arg.(value & opt e Engine.Fast & info [ "engine" ] ~docv:"ENGINE" ~doc)
+  Arg.(
+    value
+    & opt e Protocol.default_exec.engine
+    & info [ "engine" ] ~docv:"ENGINE" ~doc)
 
-(* The one engine-dispatch point every subcommand shares: create the
-   selected machine with the requested hooks attached for its lifetime,
-   run it, and hand back both. *)
-let run_with_engine ~config ?meta ?trace ?profile engine program =
-  let m =
-    Engine.create ~config ?meta
-      ~hooks:(Hooks.bundle ?trace ?profile ())
-      engine program
+(* --engine, --fuel, --seed and --max-retries as a job's exec knobs *)
+let exec_term =
+  let exec engine fuel seed max_retries =
+    { Protocol.engine; fuel; seed; max_retries }
   in
-  (m, Engine.run m)
+  Term.(const exec $ engine_arg $ fuel_arg $ seed_arg $ max_retries_arg)
 
-let find_spec name =
-  match Registry.find name with
-  | Some s -> Ok s
-  | None ->
-      Error
-        (Printf.sprintf "unknown application %S; try: %s" name
-           (String.concat ", " Registry.names))
-
-let instance spec variant oracle =
-  let oracle = oracle || spec.Spec.info.needs_oracle in
-  spec.Spec.make ~variant ~oracle
+(* The default knobs at [fuel]: round-robin, the default retry budget. *)
+let config_at_fuel fuel =
+  Job.config_of_exec { Protocol.default_exec with fuel }
 
 let analysis_options no_optimize no_interproc depth prune_safe =
   {
@@ -138,15 +150,6 @@ let analysis_options no_optimize no_interproc depth prune_safe =
     max_depth = depth;
     prune_safe;
     exclude_iids = [];
-  }
-
-let machine_config fuel seed max_retries =
-  {
-    Machine.default_config with
-    fuel;
-    max_retries;
-    policy =
-      (match seed with None -> Sched.Round_robin | Some s -> Sched.Random s);
   }
 
 (* --- subcommands --------------------------------------------------- *)
@@ -164,73 +167,52 @@ let list_cmd =
     Term.(const run $ const ())
 
 let show_cmd =
-  let run app variant oracle =
-    match find_spec app with
-    | Error e -> prerr_endline e; 1
-    | Ok spec ->
-        let inst = instance spec variant oracle in
-        Format.printf "%a@." Conair.Ir.Program.pp inst.program;
-        0
+  let run target =
+    let@ (t : Job.target) = target in
+    Format.printf "%a@." Conair.Ir.Program.pp t.inst.program;
+    0
   in
   Cmd.v
     (Cmd.info "show" ~doc:"Print the benchmark's Mir program.")
-    Term.(const run $ app_arg $ variant_arg $ oracle_arg)
+    Term.(const run $ target_term)
 
 let analyze_cmd =
-  let run app variant oracle no_opt no_ip depth prune =
-    match find_spec app with
-    | Error e -> prerr_endline e; 1
-    | Ok spec -> (
-        let inst = instance spec variant oracle in
-        let options = analysis_options no_opt no_ip depth prune in
-        match Conair.harden ~analysis:options inst.program Conair.Survival with
-        | Error e -> prerr_endline e; 1
-        | Ok h ->
-            List.iter
-              (fun sp -> Format.printf "%a@." Plan.pp_site_plan sp)
-              h.plan.site_plans;
-            Format.printf "@.%a@." Conair.Transform.Report.pp h.report;
-            0)
+  let run target no_opt no_ip depth prune =
+    let@ t = target in
+    let analysis = analysis_options no_opt no_ip depth prune in
+    let@ h = Job.harden ~analysis t Conair.Survival in
+    List.iter
+      (fun sp -> Format.printf "%a@." Plan.pp_site_plan sp)
+      h.value.plan.site_plans;
+    Format.printf "@.%a@." Conair.Transform.Report.pp h.value.report;
+    0
   in
   Cmd.v
     (Cmd.info "analyze"
        ~doc:"Run the ConAir static analysis and print every site plan.")
     Term.(
-      const run $ app_arg $ variant_arg $ oracle_arg $ no_optimize_arg
-      $ no_interproc_arg $ depth_arg $ prune_arg)
+      const run $ target_term $ no_optimize_arg $ no_interproc_arg
+      $ depth_arg $ prune_arg)
 
 let harden_cmd =
-  let run app variant oracle no_opt no_ip depth prune =
-    match find_spec app with
-    | Error e -> prerr_endline e; 1
-    | Ok spec -> (
-        let inst = instance spec variant oracle in
-        let options = analysis_options no_opt no_ip depth prune in
-        match Conair.harden ~analysis:options inst.program Conair.Survival with
-        | Error e -> prerr_endline e; 1
-        | Ok h ->
-            Format.printf "%a@." Conair.Ir.Program.pp h.hardened.program;
-            0)
+  let run target no_opt no_ip depth prune =
+    let@ t = target in
+    let analysis = analysis_options no_opt no_ip depth prune in
+    let@ h = Job.harden ~analysis t Conair.Survival in
+    Format.printf "%a@." Conair.Ir.Program.pp h.value.hardened.program;
+    0
   in
   Cmd.v
     (Cmd.info "harden" ~doc:"Print the transformed (hardened) Mir program.")
     Term.(
-      const run $ app_arg $ variant_arg $ oracle_arg $ no_optimize_arg
-      $ no_interproc_arg $ depth_arg $ prune_arg)
+      const run $ target_term $ no_optimize_arg $ no_interproc_arg
+      $ depth_arg $ prune_arg)
 
-(* --- telemetry plumbing shared by run and report ------------------- *)
+(* --- run, report and file ------------------------------------------ *)
 
-let variant_name = function Spec.Buggy -> "buggy" | Spec.Clean -> "clean"
-
-let run_meta_of app variant seed =
-  Obs.Jsonl.run_meta ~variant:(variant_name variant) ?seed app
-
-(* Execute [inst] observed — both the hardened and the unhardened path
-   go through the facade's [run_report_of], the same code path the serve
-   daemon's run jobs use — and write whichever telemetry files were
+(* One observed run ([Job.run]), writing whichever telemetry files were
    requested. *)
-let observed_run ~config ~engine ~meta_info ~mode ~trace_json ~metrics_file
-    ~spans_file (inst : Spec.instance) =
+let observed_run ~trace_json ~metrics_file ~spans_file t ~mode exec =
   let with_trace_writer k =
     match trace_json with
     | None -> k None
@@ -238,23 +220,19 @@ let observed_run ~config ~engine ~meta_info ~mode ~trace_json ~metrics_file
         Out_channel.with_open_text file (fun oc ->
             k (Some (Obs.Jsonl.channel_writer oc)))
   in
-  let rr =
-    with_trace_writer @@ fun trace_writer ->
-    Conair.run_report_of ~config ~engine ~meta_info ?trace_writer ~mode
-      inst.Spec.program
+  let j =
+    with_trace_writer @@ fun trace_writer -> Job.run ?trace_writer t ~mode exec
   in
   (match metrics_file with
   | Some file ->
       Obs.Jsonl.write_file file
-        (Obs.Json.to_string_pretty (Obs.Metrics.to_json rr.Conair.metrics))
+        (Obs.Json.to_string_pretty (Obs.Metrics.to_json j.value.metrics))
   | None -> ());
-  (match spans_file with
-  | Some file ->
-      Obs.Jsonl.write_file file
-        (Obs.Json.to_string_pretty
-           (Obs.Span.to_chrome ~events:rr.Conair.events rr.Conair.spans))
-  | None -> ());
-  rr
+  (match (spans_file, j.outcome.jr_spans) with
+  | Some file, Some chrome ->
+      Obs.Jsonl.write_file file (Obs.Json.to_string_pretty chrome)
+  | _ -> ());
+  j
 
 let hardened_arg =
   Arg.(
@@ -299,32 +277,6 @@ let record_arg =
            as a self-contained schedule log (replayable with the replay \
            subcommand, shrinkable with minimize).")
 
-let mode_name = function
-  | None -> "none"
-  | Some Conair.Survival -> "survival"
-  | Some (Conair.Fix _) -> "fix"
-
-(* Record the run (deterministic, so identical to the displayed one) and
-   save the schedule log. *)
-let record_schedule ~config ~engine ~app ~variant ~oracle ~mode file
-    (inst : Spec.instance) =
-  let ident =
-    Replay.Log.ident
-      ~variant:(variant_name variant)
-      ~oracle ~mode:(mode_name mode) app
-  in
-  let _, log =
-    match mode with
-    | None -> Conair.record_run ~config ~engine ~ident inst.Spec.program
-    | Some m ->
-        Conair.run_recorded ~config ~engine ~ident
-          (Conair.harden_exn inst.program m)
-  in
-  Replay.Log.save log file;
-  Format.printf "recorded: %s (%d decisions, %d preemptions)@." file
-    (Array.length log.Replay.Log.decisions)
-    (Array.length log.Replay.Log.preemptions)
-
 let flight_arg =
   Arg.(
     value & flag
@@ -342,38 +294,42 @@ let bundle_out_arg =
     & info [ "bundle-out" ] ~docv:"DIR"
         ~doc:"Directory for --flight diagnostic bundles (default: .).")
 
-let bundle_file_of ~dir app =
-  Filename.concat dir ("flight_" ^ String.lowercase_ascii app ^ ".bundle.json")
-
-(* Capture the run with the flight hook (deterministic, so identical to
-   the displayed one) and dump the diagnostic bundle. [reason] records
-   why: the displayed run's failure, or an explicit request. *)
-let flight_capture ~config ~engine ~app ~variant ~oracle ~mode ~dir ~reason
-    (inst : Spec.instance) =
-  let ident =
-    Replay.Log.ident
-      ~variant:(variant_name variant)
-      ~oracle ~mode:(mode_name mode) app
-  in
-  let _, bundle =
-    match mode with
-    | None -> Conair.run_flight ~config ~engine ~reason ~ident inst.Spec.program
-    | Some m ->
-        let h = Conair.harden_exn inst.Spec.program m in
-        Conair.run_flight ~config ~engine
-          ~meta:(Machine.meta_of_harden h.hardened)
-          ~reason ~ident h.hardened.program
-  in
-  let file = bundle_file_of ~dir app in
-  Obs.Flight.save bundle file;
-  Format.printf
-    "flight bundle: %s (%d of %d decisions retained, %d preemptions, %d \
-     events)@."
-    file
-    (Array.length bundle.Obs.Flight.fb_tail)
-    bundle.Obs.Flight.fb_tail_total
-    (Array.length bundle.Obs.Flight.fb_tail_preemptions)
-    (List.length bundle.Obs.Flight.fb_events)
+(* --record and --flight: re-capture the displayed run (runs are
+   deterministic) as a schedule log and a flight bundle named after the
+   target's label. [full] prints the bundle's preemption and event
+   counts too. *)
+let save_captures ~full ~record ~flight ~bundle_out (t : Job.target) ~mode
+    exec (r : Conair.run) =
+  (match record with
+  | Some file ->
+      let log = Job.capture Job.Schedule t ~mode exec in
+      Replay.Log.save log file;
+      Format.printf "recorded: %s (%d decisions, %d preemptions)@." file
+        (Array.length log.Replay.Log.decisions)
+        (Array.length log.Replay.Log.preemptions)
+  | None -> ());
+  if flight then begin
+    let reason =
+      if Outcome.is_success r.outcome then "requested" else "failure"
+    in
+    let b = Job.capture (Job.Flight reason) t ~mode exec in
+    let file =
+      Filename.concat bundle_out
+        ("flight_" ^ String.lowercase_ascii t.label ^ ".bundle.json")
+    in
+    Obs.Flight.save b file;
+    let open Obs.Flight in
+    if full then
+      Format.printf
+        "flight bundle: %s (%d of %d decisions retained, %d preemptions, \
+         %d events)@."
+        file (Array.length b.fb_tail) b.fb_tail_total
+        (Array.length b.fb_tail_preemptions)
+        (List.length b.fb_events)
+    else
+      Format.printf "flight bundle: %s (%d of %d decisions retained)@." file
+        (Array.length b.fb_tail) b.fb_tail_total
+  end
 
 let run_cmd =
   let no_harden_arg =
@@ -396,87 +352,57 @@ let run_cmd =
           ~doc:"Print the recovery-event summary of the run (detections, \
                 rollbacks, compensations).")
   in
-  let run app variant oracle engine hardened no_harden fix trace trace_json
-      metrics_file spans_file record flight bundle_out fuel seed max_retries =
-    match find_spec app with
-    | Error e -> prerr_endline e; 1
-    | Ok spec ->
-        if hardened && no_harden then begin
-          prerr_endline "--hardened and --no-harden are mutually exclusive";
-          1
-        end
-        else begin
-          let inst = instance spec variant oracle in
-          let config = machine_config fuel seed max_retries in
-          let telemetry =
-            trace || trace_json <> None || metrics_file <> None
-            || spans_file <> None
+  let run target exec hardened no_harden fix trace trace_json metrics_file
+      spans_file record flight bundle_out =
+    let@ (t : Job.target) = target in
+    if hardened && no_harden then begin
+      prerr_endline "--hardened and --no-harden are mutually exclusive";
+      1
+    end
+    else
+      let@ mode =
+        Job.mode_of t
+          (if no_harden then "none" else if fix then "fix" else "survival")
+      in
+      let telemetry =
+        trace || trace_json <> None || metrics_file <> None
+        || spans_file <> None
+      in
+      let r, events, exit =
+        if telemetry then
+          let j =
+            observed_run ~trace_json ~metrics_file ~spans_file t ~mode exec
           in
-          let mode =
-            if no_harden then None
-            else if fix then Some (Conair.Fix inst.fix_site_iids)
-            else Some Conair.Survival
-          in
-          let r, events =
-            if telemetry then begin
-              let meta_info = run_meta_of app variant seed in
-              let rr =
-                observed_run ~config ~engine ~meta_info ~mode ~trace_json
-                  ~metrics_file ~spans_file inst
-              in
-              (rr.Conair.run, rr.Conair.events)
-            end
-            else begin
-              (* telemetry is opt-in: no sink, no event stream, no cost *)
-              let r =
-                match mode with
-                | None -> Conair.execute ~config ~engine inst.program
-                | Some mode ->
-                    Conair.execute_hardened ~config ~engine
-                      (Conair.harden_exn inst.program mode)
-              in
-              (r, [])
-            end
-          in
-          (match record with
-          | Some file ->
-              record_schedule ~config ~engine ~app ~variant
-                ~oracle:(oracle || spec.Spec.info.needs_oracle)
-                ~mode file inst
-          | None -> ());
-          if flight then
-            flight_capture ~config ~engine ~app ~variant
-              ~oracle:(oracle || spec.Spec.info.needs_oracle)
-              ~mode ~dir:bundle_out
-              ~reason:
-                (if Outcome.is_success r.outcome then "requested"
-                 else "failure")
-              inst;
-          Format.printf "outcome:  %a@." Outcome.pp r.outcome;
-          List.iter (fun o -> Format.printf "output:   %s@." o) r.outputs;
-          Format.printf "accepted: %b@." (inst.accept r.outputs);
-          Format.printf "stats:    %a@." Stats.pp r.stats;
-          if r.stats.rollbacks > 0 then begin
-            Format.printf "recovery: %d virtual steps (longest episode)@."
-              (Stats.max_recovery_time r.stats);
-            Format.printf "@[<v 2>episodes:@ %a@]@." Stats.pp_episodes r.stats
-          end;
-          if trace then begin
-            let sink = Trace.create () in
-            List.iter (Trace.record sink) events;
-            Format.printf "@[<v 2>recovery trace:@ %a@]@."
-              Trace.pp_recovery_summary sink
-          end;
-          if Outcome.is_success r.outcome then 0 else 2
-        end
+          (j.value.run, j.value.events, j.outcome.jr_exit)
+        else
+          (* telemetry is opt-in: no sink, no event stream, no cost *)
+          let r = Job.run_bare t ~mode exec in
+          (r, [], Job.run_exit r)
+      in
+      save_captures ~full:true ~record ~flight ~bundle_out t ~mode exec r;
+      Format.printf "outcome:  %a@." Outcome.pp r.outcome;
+      List.iter (fun o -> Format.printf "output:   %s@." o) r.outputs;
+      Format.printf "accepted: %b@." (t.inst.accept r.outputs);
+      Format.printf "stats:    %a@." Stats.pp r.stats;
+      if r.stats.rollbacks > 0 then begin
+        Format.printf "recovery: %d virtual steps (longest episode)@."
+          (Stats.max_recovery_time r.stats);
+        Format.printf "@[<v 2>episodes:@ %a@]@." Stats.pp_episodes r.stats
+      end;
+      if trace then begin
+        let sink = Trace.create () in
+        List.iter (Trace.record sink) events;
+        Format.printf "@[<v 2>recovery trace:@ %a@]@."
+          Trace.pp_recovery_summary sink
+      end;
+      exit
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Execute a benchmark, hardened by default.")
     Term.(
-      const run $ app_arg $ variant_arg $ oracle_arg $ engine_arg
-      $ hardened_arg $ no_harden_arg $ fix_arg $ trace_arg $ trace_json_arg
-      $ metrics_file_arg $ spans_file_arg $ record_arg $ flight_arg
-      $ bundle_out_arg $ fuel_arg $ seed_arg $ max_retries_arg)
+      const run $ target_term $ exec_term $ hardened_arg $ no_harden_arg
+      $ fix_arg $ trace_arg $ trace_json_arg $ metrics_file_arg
+      $ spans_file_arg $ record_arg $ flight_arg $ bundle_out_arg)
 
 let report_cmd =
   let fix_arg =
@@ -500,29 +426,18 @@ let report_cmd =
       & info [ "out" ] ~docv:"FILE"
           ~doc:"Write the report to $(docv) instead of stdout.")
   in
-  let run app variant oracle engine fix prometheus out trace_json
-      metrics_file spans_file fuel seed max_retries =
-    match find_spec app with
-    | Error e -> prerr_endline e; 1
-    | Ok spec ->
-        let inst = instance spec variant oracle in
-        let config = machine_config fuel seed max_retries in
-        let meta_info = run_meta_of app variant seed in
-        let mode =
-          Some (if fix then Conair.Fix inst.fix_site_iids else Conair.Survival)
-        in
-        let rr =
-          observed_run ~config ~engine ~meta_info ~mode ~trace_json
-            ~metrics_file ~spans_file inst
-        in
-        let contents =
-          if prometheus then Obs.Metrics.to_prometheus rr.Conair.metrics
-          else Obs.Json.to_string_pretty rr.Conair.report
-        in
-        (match out with
-        | None -> print_string contents
-        | Some file -> Obs.Jsonl.write_file file contents);
-        if Outcome.is_success rr.Conair.run.outcome then 0 else 2
+  let run target exec fix prometheus out trace_json metrics_file spans_file =
+    let@ t = target in
+    let@ mode = Job.mode_of t (if fix then "fix" else "survival") in
+    let j = observed_run ~trace_json ~metrics_file ~spans_file t ~mode exec in
+    let contents =
+      if prometheus then Obs.Metrics.to_prometheus j.value.metrics
+      else Obs.Json.to_string_pretty j.outcome.jr_report
+    in
+    (match out with
+    | None -> print_string contents
+    | Some file -> Obs.Jsonl.write_file file contents);
+    j.outcome.jr_exit
   in
   Cmd.v
     (Cmd.info "report"
@@ -530,29 +445,23 @@ let report_cmd =
          "Execute a benchmark under full observation and emit the \
           structured run report (or --prometheus metrics).")
     Term.(
-      const run $ app_arg $ variant_arg $ oracle_arg $ engine_arg $ fix_arg
-      $ prometheus_arg $ out_arg $ trace_json_arg $ metrics_file_arg
-      $ spans_file_arg $ fuel_arg $ seed_arg $ max_retries_arg)
+      const run $ target_term $ exec_term $ fix_arg $ prometheus_arg
+      $ out_arg $ trace_json_arg $ metrics_file_arg $ spans_file_arg)
 
 let restart_cmd =
-  let run app variant oracle fuel =
-    match find_spec app with
-    | Error e -> prerr_endline e; 1
-    | Ok spec ->
-        let inst = instance spec variant oracle in
-        let config = machine_config fuel None 1_000_000 in
-        let r =
-          Conair_baselines.Restart.run ~config ~accept:inst.accept
-            inst.program
-        in
-        Format.printf
-          "outcome: %a@.attempts: %d@.total steps: %d (wasted %d)@."
-          Outcome.pp r.outcome r.attempts r.total_steps r.wasted_steps;
-        if Outcome.is_success r.outcome then 0 else 2
+  let run target fuel =
+    let@ (t : Job.target) = target in
+    let r =
+      Conair_baselines.Restart.run ~config:(config_at_fuel fuel)
+        ~accept:t.inst.accept t.inst.program
+    in
+    Format.printf "outcome: %a@.attempts: %d@.total steps: %d (wasted %d)@."
+      Outcome.pp r.outcome r.attempts r.total_steps r.wasted_steps;
+    if Outcome.is_success r.outcome then 0 else 2
   in
   Cmd.v
     (Cmd.info "restart" ~doc:"Run the whole-program-restart baseline.")
-    Term.(const run $ app_arg $ variant_arg $ oracle_arg $ fuel_arg)
+    Term.(const run $ target_term $ fuel_arg)
 
 let fullckpt_cmd =
   let interval_arg =
@@ -560,31 +469,27 @@ let fullckpt_cmd =
       value & opt int 250
       & info [ "interval" ] ~doc:"Steps between whole-program checkpoints.")
   in
-  let run app variant oracle fuel interval =
-    match find_spec app with
-    | Error e -> prerr_endline e; 1
-    | Ok spec ->
-        let inst = instance spec variant oracle in
-        let config =
-          {
-            Conair_baselines.Full_checkpoint.default_config with
-            machine = machine_config fuel None 1_000_000;
-            interval;
-          }
-        in
-        let r = Conair_baselines.Full_checkpoint.run ~config inst.program in
-        Format.printf
-          "outcome: %a@.snapshots: %d, restores: %d@.run steps: %d, \
-           checkpoint overhead: %d, total: %d@.recovery: %d steps@."
-          Outcome.pp r.outcome r.snapshots_taken r.restores r.run_steps
-          r.checkpoint_overhead_steps r.total_steps r.recovery_steps;
-        if Outcome.is_success r.outcome then 0 else 2
+  let run target fuel interval =
+    let@ (t : Job.target) = target in
+    let config =
+      {
+        Conair_baselines.Full_checkpoint.default_config with
+        machine = config_at_fuel fuel;
+        interval;
+      }
+    in
+    let r = Conair_baselines.Full_checkpoint.run ~config t.inst.program in
+    Format.printf
+      "outcome: %a@.snapshots: %d, restores: %d@.run steps: %d, checkpoint \
+       overhead: %d, total: %d@.recovery: %d steps@."
+      Outcome.pp r.outcome r.snapshots_taken r.restores r.run_steps
+      r.checkpoint_overhead_steps r.total_steps r.recovery_steps;
+    if Outcome.is_success r.outcome then 0 else 2
   in
   Cmd.v
     (Cmd.info "fullckpt"
        ~doc:"Run the whole-program-checkpoint/rollback baseline.")
-    Term.(const run $ app_arg $ variant_arg $ oracle_arg $ fuel_arg
-          $ interval_arg)
+    Term.(const run $ target_term $ fuel_arg $ interval_arg)
 
 let file_cmd =
   let file_arg =
@@ -604,90 +509,34 @@ let file_cmd =
       & info [ "emit" ]
           ~doc:"Print the (possibly hardened) program instead of running it.")
   in
-  let run file no_harden emit engine record flight bundle_out fuel seed
-      max_retries =
+  let run file no_harden emit exec record flight bundle_out =
     let src = In_channel.with_open_text file In_channel.input_all in
-    match Conair.Ir.Parse.program src with
+    match Job.resolve (Protocol.Source src) with
     | Error e ->
-        Format.eprintf "%s: %a@." file Conair.Ir.Parse.pp_error e;
+        Printf.eprintf "%s: %s\n" file e;
         1
-    | Ok p -> (
-        match Conair.Ir.Validate.check p with
-        | _ :: _ as problems ->
-            List.iter
-              (fun pb ->
-                Format.eprintf "%s: %a@." file Conair.Ir.Validate.pp_problem pb)
-              problems;
-            1
-        | [] ->
-            let config = machine_config fuel seed max_retries in
-            let save_record mode run_recorded =
-              match record with
-              | None -> ()
-              | Some out ->
-                  let ident =
-                    Replay.Log.ident ~mode:(mode_name mode)
-                      (Filename.remove_extension (Filename.basename file))
-                  in
-                  let _, log = run_recorded ident in
-                  Replay.Log.save log out;
-                  Format.printf "recorded: %s (%d decisions, %d preemptions)@."
-                    out
-                    (Array.length log.Replay.Log.decisions)
-                    (Array.length log.Replay.Log.preemptions)
-            in
-            let save_flight mode ?meta program outcome =
-              if flight then begin
-                let app = Filename.remove_extension (Filename.basename file) in
-                let ident = Replay.Log.ident ~mode:(mode_name mode) app in
-                let reason =
-                  if Outcome.is_success outcome then "requested" else "failure"
-                in
-                let _, bundle =
-                  Conair.run_flight ~config ~engine ?meta ~reason ~ident
-                    program
-                in
-                let out = bundle_file_of ~dir:bundle_out app in
-                Obs.Flight.save bundle out;
-                Format.printf
-                  "flight bundle: %s (%d of %d decisions retained)@." out
-                  (Array.length bundle.Obs.Flight.fb_tail)
-                  bundle.Obs.Flight.fb_tail_total
-              end
-            in
-            if no_harden then begin
-              if emit then begin
-                print_string (Conair.Ir.Emit.program p);
-                0
-              end
-              else begin
-                let r = Conair.execute ~config ~engine p in
-                save_record None (fun ident ->
-                    Conair.record_run ~config ~engine ~ident p);
-                save_flight None p r.outcome;
-                Format.printf "outcome: %a@." Outcome.pp r.outcome;
-                List.iter (Format.printf "output:  %s@.") r.outputs;
-                if Outcome.is_success r.outcome then 0 else 2
-              end
-            end
-            else
-              let h = Conair.harden_exn p Conair.Survival in
-              if emit then begin
-                print_string (Conair.Ir.Emit.program h.hardened.program);
-                0
-              end
-              else begin
-                let r = Conair.execute_hardened ~config ~engine h in
-                save_record (Some Conair.Survival) (fun ident ->
-                    Conair.run_recorded ~config ~engine ~ident h);
-                save_flight (Some Conair.Survival)
-                  ~meta:(Machine.meta_of_harden h.hardened)
-                  h.hardened.program r.outcome;
-                Format.printf "outcome: %a@." Outcome.pp r.outcome;
-                List.iter (Format.printf "output:  %s@.") r.outputs;
-                Format.printf "stats:   %a@." Stats.pp r.stats;
-                if Outcome.is_success r.outcome then 0 else 2
-              end)
+    | Ok t -> (
+        (* captures are named after the file, not "source" *)
+        let t =
+          { t with label = Filename.(remove_extension (basename file)) }
+        in
+        let mode = if no_harden then None else Some Conair.Survival in
+        if emit then begin
+          let program =
+            match mode with
+            | None -> t.inst.program
+            | Some m -> (Conair.harden_exn t.inst.program m).hardened.program
+          in
+          print_string (Conair.Ir.Emit.program program);
+          0
+        end
+        else
+          let r = Job.run_bare t ~mode exec in
+          save_captures ~full:false ~record ~flight ~bundle_out t ~mode exec r;
+          Format.printf "outcome: %a@." Outcome.pp r.outcome;
+          List.iter (Format.printf "output:  %s@.") r.outputs;
+          if mode <> None then Format.printf "stats:   %a@." Stats.pp r.stats;
+          Job.run_exit r)
   in
   Cmd.v
     (Cmd.info "file"
@@ -695,9 +544,8 @@ let file_cmd =
          "Parse a Mir source file, harden it (survival mode) and run it; \
           --emit prints the program instead.")
     Term.(
-      const run $ file_arg $ no_harden_arg $ emit_arg $ engine_arg
-      $ record_arg $ flight_arg $ bundle_out_arg $ fuel_arg $ seed_arg
-      $ max_retries_arg)
+      const run $ file_arg $ no_harden_arg $ emit_arg $ exec_term
+      $ record_arg $ flight_arg $ bundle_out_arg)
 
 let dot_cmd =
   let func_arg =
@@ -709,43 +557,31 @@ let dot_cmd =
             "Render only this function (default: the function holding the \
              first recoverable site).")
   in
-  let run app variant oracle func =
-    match find_spec app with
-    | Error e -> prerr_endline e; 1
-    | Ok spec -> (
-        let inst = instance spec variant oracle in
-        match Conair.harden inst.program Conair.Survival with
-        | Error e -> prerr_endline e; 1
-        | Ok h -> (
-            let module A = Conair.Analysis in
-            let pick =
-              match func with
-              | Some name ->
-                  List.find_opt
-                    (fun (sp : A.Plan.site_plan) ->
-                      Conair.Ir.Ident.Fname.name sp.site.func = name
-                      && sp.verdict = A.Optimize.Recoverable)
-                    h.plan.site_plans
-              | None ->
-                  List.find_opt
-                    (fun (sp : A.Plan.site_plan) ->
-                      sp.verdict = A.Optimize.Recoverable)
-                    h.plan.site_plans
-            in
-            match pick with
-            | None ->
-                prerr_endline "no recoverable site to render";
-                1
-            | Some sp ->
-                print_string (A.Viz.site_to_dot inst.program sp.site);
-                0))
+  let run target func =
+    let@ (t : Job.target) = target in
+    let@ h = Job.harden t Conair.Survival in
+    let module A = Conair.Analysis in
+    let recoverable (sp : A.Plan.site_plan) =
+      sp.verdict = A.Optimize.Recoverable
+      &&
+      match func with
+      | Some name -> Conair.Ir.Ident.Fname.name sp.site.func = name
+      | None -> true
+    in
+    match List.find_opt recoverable h.value.plan.site_plans with
+    | None ->
+        prerr_endline "no recoverable site to render";
+        1
+    | Some sp ->
+        print_string (A.Viz.site_to_dot t.inst.program sp.site);
+        0
   in
   Cmd.v
     (Cmd.info "dot"
        ~doc:
          "Print a Graphviz rendering of a failure site's function with its \
           idempotent region highlighted.")
-    Term.(const run $ app_arg $ variant_arg $ oracle_arg $ func_arg)
+    Term.(const run $ target_term $ func_arg)
 
 let profile_cmd =
   let runs_arg =
@@ -807,98 +643,97 @@ let profile_cmd =
       value & opt int 10
       & info [ "top" ] ~doc:"Context rows to print (0 for all).")
   in
-  let run app variant oracle engine sites fix runs collapsed wasted chrome
-      json top fuel seed max_retries =
-    match find_spec app with
-    | Error e -> prerr_endline e; 1
-    | Ok spec ->
-        let inst = instance spec variant oracle in
-        if sites then begin
-          let config = machine_config fuel None 1_000_000 in
-          let profiles = Conair.profile_sites ~config ~runs inst.program in
-          Printf.printf "%-8s %-12s %10s  %s\n" "site" "kind" "executions"
-            "message";
+  let run target (exec : Protocol.exec) sites fix runs collapsed wasted chrome
+      json top =
+    let@ (t : Job.target) = target in
+    let inst = t.inst in
+    if sites then begin
+      let config = config_at_fuel exec.fuel in
+      let profiles = Conair.profile_sites ~config ~runs inst.program in
+      Printf.printf "%-8s %-12s %10s  %s\n" "site" "kind" "executions"
+        "message";
+      List.iter
+        (fun (p : Conair.site_profile) ->
+          Printf.printf "%-8d %-12s %10d  %s\n" p.site.site_id
+            (Format.asprintf "%a" Conair.Ir.Instr.pp_failure_kind
+               p.site.kind)
+            p.executions p.site.msg)
+        profiles;
+      0
+    end
+    else begin
+      let config = Job.config_of_exec exec in
+      let mode =
+        if fix then Conair.Fix inst.fix_site_iids else Conair.Survival
+      in
+      let h = Conair.harden_exn inst.program mode in
+      let prof = Obs.Prof.create () in
+      let sink = Trace.create () in
+      let outcome =
+        Engine.run
+          (Engine.create ~config
+             ~meta:(Machine.meta_of_harden h.hardened)
+             ~hooks:(Hooks.bundle ~trace:sink ~profile:(Obs.Prof.probe prof) ())
+             exec.engine h.hardened.program)
+      in
+      Obs.Prof.finalize prof;
+      Format.printf "outcome:    %a@." Outcome.pp outcome;
+      Printf.printf "useful:     %d steps\n"
+        (Obs.Prof.useful_steps prof);
+      Printf.printf "checkpoint: %d steps\n"
+        (Obs.Prof.checkpoint_steps prof);
+      Printf.printf "wasted:     %d steps (ratio %.4f)\n"
+        (Obs.Prof.wasted_steps prof)
+        (Obs.Prof.wasted_ratio prof);
+      Printf.printf "idle:       %d steps\n" (Obs.Prof.idle_steps prof);
+      (match Obs.Prof.site_costs prof with
+      | [] -> ()
+      | costs ->
+          Printf.printf "%-8s %10s %10s\n" "site" "rollbacks" "wasted";
           List.iter
-            (fun (p : Conair.site_profile) ->
-              Printf.printf "%-8d %-12s %10d  %s\n" p.site.site_id
-                (Format.asprintf "%a" Conair.Ir.Instr.pp_failure_kind
-                   p.site.kind)
-                p.executions p.site.msg)
-            profiles;
-          0
-        end
-        else begin
-          let config = machine_config fuel seed max_retries in
-          let mode =
-            if fix then Conair.Fix inst.fix_site_iids else Conair.Survival
-          in
-          let h = Conair.harden_exn inst.program mode in
-          let prof = Obs.Prof.create () in
-          let sink = Trace.create () in
-          let _, outcome =
-            run_with_engine ~config
-              ~meta:(Machine.meta_of_harden h.hardened)
-              ~trace:sink ~profile:(Obs.Prof.probe prof) engine
-              h.hardened.program
-          in
-          Obs.Prof.finalize prof;
-          Format.printf "outcome:    %a@." Outcome.pp outcome;
-          Printf.printf "useful:     %d steps\n"
-            (Obs.Prof.useful_steps prof);
-          Printf.printf "checkpoint: %d steps\n"
-            (Obs.Prof.checkpoint_steps prof);
-          Printf.printf "wasted:     %d steps (ratio %.4f)\n"
-            (Obs.Prof.wasted_steps prof)
-            (Obs.Prof.wasted_ratio prof);
-          Printf.printf "idle:       %d steps\n" (Obs.Prof.idle_steps prof);
-          (match Obs.Prof.site_costs prof with
-          | [] -> ()
-          | costs ->
-              Printf.printf "%-8s %10s %10s\n" "site" "rollbacks" "wasted";
-              List.iter
-                (fun (c : Obs.Prof.site_cost) ->
-                  Printf.printf "%-8d %10d %10d\n" c.sc_site c.sc_rollbacks
-                    c.sc_wasted)
-                costs);
-          let rows = Obs.Prof.rows prof in
-          let rows =
-            if top <= 0 then rows
-            else List.filteri (fun i _ -> i < top) rows
-          in
-          Printf.printf "%10s %10s %10s  %s\n" "useful" "ckpt" "wasted"
-            "context";
-          List.iter
-            (fun (r : Obs.Prof.row) ->
-              Printf.printf "%10d %10d %10d  %s\n" r.r_useful r.r_ckpt
-                r.r_wasted r.r_ctx)
-            rows;
-          let write_collapsed file kind =
-            Obs.Jsonl.write_file file
-              (String.concat "\n" (Obs.Prof.to_collapsed prof kind) ^ "\n")
-          in
-          (match collapsed with
-          | Some file -> write_collapsed file Obs.Prof.Total
-          | None -> ());
-          (match wasted with
-          | Some file -> write_collapsed file Obs.Prof.Wasted
-          | None -> ());
-          (match chrome with
-          | Some file ->
-              let events = Trace.events sink in
-              let spans = Obs.Span.of_events events in
-              Obs.Jsonl.write_file file
-                (Obs.Json.to_string_pretty
-                   (Obs.Span.to_chrome ~events
-                      ~counters:(Obs.Prof.counter_events prof)
-                      spans))
-          | None -> ());
-          (match json with
-          | Some file ->
-              Obs.Jsonl.write_file file
-                (Obs.Json.to_string_pretty (Obs.Prof.to_json prof))
-          | None -> ());
-          if Outcome.is_success outcome then 0 else 2
-        end
+            (fun (c : Obs.Prof.site_cost) ->
+              Printf.printf "%-8d %10d %10d\n" c.sc_site c.sc_rollbacks
+                c.sc_wasted)
+            costs);
+      let rows = Obs.Prof.rows prof in
+      let rows =
+        if top <= 0 then rows
+        else List.filteri (fun i _ -> i < top) rows
+      in
+      Printf.printf "%10s %10s %10s  %s\n" "useful" "ckpt" "wasted"
+        "context";
+      List.iter
+        (fun (r : Obs.Prof.row) ->
+          Printf.printf "%10d %10d %10d  %s\n" r.r_useful r.r_ckpt
+            r.r_wasted r.r_ctx)
+        rows;
+      let write_collapsed file kind =
+        Obs.Jsonl.write_file file
+          (String.concat "\n" (Obs.Prof.to_collapsed prof kind) ^ "\n")
+      in
+      (match collapsed with
+      | Some file -> write_collapsed file Obs.Prof.Total
+      | None -> ());
+      (match wasted with
+      | Some file -> write_collapsed file Obs.Prof.Wasted
+      | None -> ());
+      (match chrome with
+      | Some file ->
+          let events = Trace.events sink in
+          let spans = Obs.Span.of_events events in
+          Obs.Jsonl.write_file file
+            (Obs.Json.to_string_pretty
+               (Obs.Span.to_chrome ~events
+                  ~counters:(Obs.Prof.counter_events prof)
+                  spans))
+      | None -> ());
+      (match json with
+      | Some file ->
+          Obs.Jsonl.write_file file
+            (Obs.Json.to_string_pretty (Obs.Prof.to_json prof))
+      | None -> ());
+      if Outcome.is_success outcome then 0 else 2
+    end
   in
   Cmd.v
     (Cmd.info "profile"
@@ -908,10 +743,8 @@ let profile_cmd =
           flamegraph and Chrome-trace exports (--sites for the ConSeq-style \
           execution-count profile).")
     Term.(
-      const run $ app_arg $ variant_arg $ oracle_arg $ engine_arg
-      $ sites_arg $ fix_arg $ runs_arg $ collapsed_arg $ wasted_arg
-      $ chrome_arg $ json_arg $ top_arg $ fuel_arg $ seed_arg
-      $ max_retries_arg)
+      const run $ target_term $ exec_term $ sites_arg $ fix_arg $ runs_arg
+      $ collapsed_arg $ wasted_arg $ chrome_arg $ json_arg $ top_arg)
 
 let overhead_cmd =
   let apps_arg =
@@ -961,7 +794,7 @@ let overhead_cmd =
       | names ->
           List.fold_right
             (fun name acc ->
-              match (acc, find_spec name) with
+              match (acc, Job.find_app name) with
               | Error e, _ -> Error e
               | _, Error e -> Error e
               | Ok specs, Ok s -> Ok (s :: specs))
@@ -970,7 +803,7 @@ let overhead_cmd =
     match specs with
     | Error e -> prerr_endline e; 1
     | Ok specs ->
-        let config = machine_config fuel None 1_000_000 in
+        let config = config_at_fuel fuel in
         (* which detector lenses flag the buggy program — closed over
            here because Overhead sits below the detector in the library
            order *)
@@ -1064,56 +897,41 @@ let races_cmd =
       & info [ "json" ] ~docv:"FILE"
           ~doc:"Write the full race report to $(docv) as JSON.")
   in
-  let run app file variant oracle engine original hb lockset deadlock json
-      fuel seed max_retries =
-    let program =
+  let run app file variant oracle exec original hb lockset deadlock json =
+    let@ t =
       match (app, file) with
-      | Some name, None -> (
-          match find_spec name with
-          | Error e -> Error e
-          | Ok spec -> Ok (instance spec variant oracle).Spec.program)
-      | None, Some f -> (
+      | Some app, None -> Job.resolve (Protocol.Bench { app; variant; oracle })
+      | None, Some f ->
           let src = In_channel.with_open_text f In_channel.input_all in
-          match Conair.Ir.Parse.program src with
-          | Error e -> Error (Format.asprintf "%s: %a" f Conair.Ir.Parse.pp_error e)
-          | Ok p -> Ok p)
+          Result.map_error (( ^ ) (f ^ ": ")) (Job.resolve (Protocol.Source src))
       | _ -> Error "give exactly one of APP or --file"
     in
-    match program with
-    | Error e -> prerr_endline e; 1
-    | Ok p ->
-        let options =
-          if hb || lockset || deadlock then
-            { Conair.Race.Detect.hb; lockset; deadlock }
-          else Conair.Race.Detect.all
-        in
-        let config = machine_config fuel seed max_retries in
-        let r, report =
-          if original then Conair.run_detected ~config ~engine ~options p
-          else
-            Conair.detect_hardened ~config ~engine ~options
-              (Conair.harden_exn p Conair.Survival)
-        in
-        Format.printf "outcome: %a@." Outcome.pp r.outcome;
-        Format.printf "%a" Conair.Race.Report.pp report;
-        let actual, potential =
-          List.partition
-            (fun c -> c.Conair.Race.Report.cy_actual)
-            report.Conair.Race.Report.cycles
-        in
-        Printf.printf
-          "races: %d, lockset warnings: %d, deadlock cycles: %d actual, %d \
-           potential\n"
-          (List.length report.Conair.Race.Report.races)
-          (List.length report.Conair.Race.Report.warnings)
-          (List.length actual) (List.length potential);
-        (match json with
-        | Some out ->
-            Obs.Jsonl.write_file out
-              (Obs.Json.to_string_pretty (Conair.Race.Report.to_json report))
-        | None -> ());
-        if report.Conair.Race.Report.races <> [] || actual <> [] then 3
-        else 0
+    let options =
+      if hb || lockset || deadlock then
+        { Conair.Race.Detect.hb; lockset; deadlock }
+      else Conair.Race.Detect.all
+    in
+    let d = Job.detect ~options t ~original exec in
+    let r, report = d.value in
+    Format.printf "outcome: %a@." Outcome.pp r.outcome;
+    Format.printf "%a" Conair.Race.Report.pp report;
+    let actual, potential =
+      List.partition
+        (fun c -> c.Conair.Race.Report.cy_actual)
+        report.Conair.Race.Report.cycles
+    in
+    Printf.printf
+      "races: %d, lockset warnings: %d, deadlock cycles: %d actual, %d \
+       potential\n"
+      (List.length report.Conair.Race.Report.races)
+      (List.length report.Conair.Race.Report.warnings)
+      (List.length actual) (List.length potential);
+    (match json with
+    | Some out ->
+        Obs.Jsonl.write_file out
+          (Obs.Json.to_string_pretty d.outcome.jr_report)
+    | None -> ());
+    d.outcome.jr_exit
   in
   Cmd.v
     (Cmd.info "races"
@@ -1124,8 +942,8 @@ let races_cmd =
           were found.")
     Term.(
       const run $ app_opt_arg $ file_arg $ variant_arg $ oracle_arg
-      $ engine_arg $ original_arg $ hb_arg $ lockset_arg $ deadlock_arg
-      $ json_arg $ fuel_arg $ seed_arg $ max_retries_arg)
+      $ exec_term $ original_arg $ hb_arg $ lockset_arg $ deadlock_arg
+      $ json_arg)
 
 (* --- schedule record-and-replay ----------------------------------- *)
 
@@ -1142,20 +960,16 @@ let log_file_arg =
    verifies the rebuilt program against the recorded MD5. *)
 let program_for_log (log : Replay.Log.t) = function
   | None -> Ok None
-  | Some name -> (
-      match find_spec name with
-      | Error e -> Error e
-      | Ok spec ->
-          let variant =
-            match log.Replay.Log.ident.Replay.Log.id_variant with
-            | "clean" -> Spec.Clean
-            | _ -> Spec.Buggy
-          in
-          let inst =
-            spec.Spec.make ~variant
-              ~oracle:log.Replay.Log.ident.Replay.Log.id_oracle
-          in
-          Ok (Some inst.Spec.program))
+  | Some app ->
+      let id = log.Replay.Log.ident in
+      Job.resolve
+        (Protocol.Bench
+           {
+             app;
+             variant = id.Replay.Log.id_variant;
+             oracle = id.Replay.Log.id_oracle;
+           })
+      |> Result.map (fun (t : Job.target) -> Some t.inst.program)
 
 let pp_divergence (d : Replay.Driver.divergence) =
   Printf.eprintf
@@ -1332,6 +1146,22 @@ let replay_cmd =
       const run $ log_file_arg $ app_opt_arg $ engine_arg $ at_arg
       $ range_arg $ interactive_arg $ json_arg)
 
+(* Print a minimization's explanation, save its log to [out] and its
+   report to [json]. *)
+let write_minimized ~out ~json (j : Replay.Minimize.t Job.typed) =
+  print_string (Replay.Minimize.render j.value);
+  (match out with
+  | Some file ->
+      Replay.Log.save j.value.mn_log file;
+      Printf.printf "minimized log: %s\n" file
+  | None -> ());
+  (match json with
+  | Some file ->
+      Obs.Jsonl.write_file file (Obs.Json.to_string_pretty j.outcome.jr_report);
+      Printf.printf "explanation: %s\n" file
+  | None -> ());
+  j.outcome.jr_exit
+
 let minimize_cmd =
   let app_opt_arg =
     let doc =
@@ -1373,29 +1203,10 @@ let minimize_cmd =
     | Error e ->
         Printf.eprintf "%s: %s\n" logfile e;
         1
-    | Ok log -> (
-        match program_for_log log app with
-        | Error e -> prerr_endline e; 1
-        | Ok program -> (
-            match
-              Conair.minimize ~max_tests ~detect:(not no_detect) ?program log
-            with
-            | Error e -> prerr_endline e; 1
-            | Ok m ->
-                print_string (Replay.Minimize.render m);
-                (match out with
-                | Some file ->
-                    Replay.Log.save m.Replay.Minimize.mn_log file;
-                    Printf.printf "minimized log: %s\n" file
-                | None -> ());
-                (match json with
-                | Some file ->
-                    Obs.Jsonl.write_file file
-                      (Obs.Json.to_string_pretty
-                         (Replay.Minimize.to_json m));
-                    Printf.printf "explanation: %s\n" file
-                | None -> ());
-                0))
+    | Ok log ->
+        let@ program = program_for_log log app in
+        let@ m = Job.minimize ?program ~max_tests ~detect:(not no_detect) log in
+        write_minimized ~out ~json m
   in
   Cmd.v
     (Cmd.info "minimize"
@@ -1585,26 +1396,10 @@ let bundle_minimize_cmd =
     | Error e ->
         Printf.eprintf "%s: %s\n" file e;
         1
-    | Ok b -> (
-        match Replay.Bundle.recover_log b with
-        | Error e -> prerr_endline e; 1
-        | Ok log -> (
-            match Conair.minimize ~max_tests log with
-            | Error e -> prerr_endline e; 1
-            | Ok m ->
-                print_string (Replay.Minimize.render m);
-                (match out with
-                | Some file ->
-                    Replay.Log.save m.Replay.Minimize.mn_log file;
-                    Printf.printf "minimized log: %s\n" file
-                | None -> ());
-                (match json with
-                | Some file ->
-                    Obs.Jsonl.write_file file
-                      (Obs.Json.to_string_pretty (Replay.Minimize.to_json m));
-                    Printf.printf "explanation: %s\n" file
-                | None -> ());
-                0))
+    | Ok b ->
+        let@ log = Replay.Bundle.recover_log b in
+        let@ m = Job.minimize ~max_tests ~detect:true log in
+        write_minimized ~out ~json m
   in
   Cmd.v
     (Cmd.info "minimize"
@@ -1702,59 +1497,42 @@ let fix_cmd =
       & info [ "search-seeds" ] ~docv:"N"
           ~doc:"Random seeds tried when hunting a failing schedule.")
   in
-  let run app variant oracle engine json out max_candidates sweep_seeds
-      search_seeds fuel seed max_retries =
-    match find_spec app with
-    | Error e -> prerr_endline e; 1
-    | Ok spec ->
-        let inst = instance spec variant oracle in
-        let base = machine_config fuel seed max_retries in
-        let options =
-          {
-            Fix.Pipeline.default_options with
-            Fix.Pipeline.engine;
-            fuel = base.Machine.fuel;
-            max_retries = base.Machine.max_retries;
-            max_candidates;
-            sweep_seeds;
-            search_seeds;
-          }
-        in
-        let report =
-          Fix.Pipeline.run ~options ~accept:inst.Spec.accept ~app
-            ~variant:(variant_name variant) inst.Spec.program
-        in
-        print_string (Fix.Pipeline.render report);
-        (match json with
-        | Some file ->
-            Obs.Jsonl.write_file file
-              (Obs.Json.to_string_pretty (Fix.Pipeline.to_json report))
-        | None -> ());
-        (match out with
-        | Some dir ->
-            if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-            List.iter
-              (fun (c : Fix.Pipeline.candidate) ->
-                if c.Fix.Pipeline.c_survived then begin
-                  let id = c.Fix.Pipeline.c_patch.Fix.Patch.p_id in
-                  let name =
-                    String.map
-                      (fun ch ->
-                        match ch with
-                        | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '-' | '_' ->
-                            ch
-                        | _ -> '_')
-                      id
-                  in
-                  let file = Filename.concat dir (name ^ ".mir") in
-                  Obs.Jsonl.write_file file
-                    (Conair.Ir.Emit.program
-                       c.Fix.Pipeline.c_patch.Fix.Patch.p_program);
-                  Printf.printf "patched program: %s\n" file
-                end)
-              report.Fix.Pipeline.fx_candidates
-        | None -> ());
-        if report.Fix.Pipeline.fx_survivors > 0 then 0 else 2
+  let run target exec json out max_candidates sweep_seeds search_seeds =
+    let@ t = target in
+    let { Job.value = report; outcome } =
+      Job.fix t ~max_candidates ~sweep_seeds ~search_seeds exec
+    in
+    print_string (Fix.Pipeline.render report);
+    (match json with
+    | Some file ->
+        Obs.Jsonl.write_file file
+          (Obs.Json.to_string_pretty outcome.jr_report)
+    | None -> ());
+    (match out with
+    | Some dir ->
+        if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+        List.iter
+          (fun (c : Fix.Pipeline.candidate) ->
+            if c.Fix.Pipeline.c_survived then begin
+              let id = c.Fix.Pipeline.c_patch.Fix.Patch.p_id in
+              let name =
+                String.map
+                  (fun ch ->
+                    match ch with
+                    | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '-' | '_' ->
+                        ch
+                    | _ -> '_')
+                  id
+              in
+              let file = Filename.concat dir (name ^ ".mir") in
+              Obs.Jsonl.write_file file
+                (Conair.Ir.Emit.program
+                   c.Fix.Pipeline.c_patch.Fix.Patch.p_program);
+              Printf.printf "patched program: %s\n" file
+            end)
+          report.Fix.Pipeline.fx_candidates
+    | None -> ());
+    outcome.jr_exit
   in
   Cmd.v
     (Cmd.info "fix"
@@ -1768,9 +1546,8 @@ let fix_cmd =
           Exits 0 when at least one candidate survives all gates, 2 \
           otherwise.")
     Term.(
-      const run $ app_arg $ variant_arg $ oracle_arg $ engine_arg $ json_arg
-      $ out_arg $ max_candidates_arg $ sweep_seeds_arg $ search_seeds_arg
-      $ fuel_arg $ seed_arg $ max_retries_arg)
+      const run $ target_term $ exec_term $ json_arg $ out_arg
+      $ max_candidates_arg $ sweep_seeds_arg $ search_seeds_arg)
 
 let main_cmd =
   let doc =

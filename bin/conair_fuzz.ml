@@ -194,84 +194,65 @@ let observe_run ~case (coll : Coverage.collector) =
   Coverage.note cover ~app:case ob;
   (ob, nov)
 
-(* [execute_hardened], with the schedule recorder (and, when observing,
-   a coverage collector) installed. Recording only taps the scheduler's
-   decisions, so the run itself is unchanged. [tag] disambiguates
-   multiple schedules of the same (case, seed). *)
-let execute_recorded ~case ~seed ?(tag = "") ~config (h : Conair.hardened) =
-  incr total_runs;
-  if (not (observing ())) && !record_dir = None then
-    Conair.execute_hardened ~config ~engine:!engine h
-  else begin
-    let coll = if observing () then Some (Coverage.collector ()) else None in
-    let ident =
-      Conair.Replay.Log.ident ~variant:case ~mode:"survival" "conair_fuzz"
-    in
-    let r, log =
-      Conair.run_recorded ~config ~engine:!engine ~ident
-        ?race:(Option.map Coverage.probe coll)
-        h
-    in
-    let failing = not (Outcome.is_success r.outcome) in
-    let recovered = r.Conair.stats.rollbacks > 0 in
-    let path =
-      match !record_dir with
-      | Some dir when failing || recovered ->
-          let path =
-            Filename.concat dir
-              (Printf.sprintf "%s-%d%s.sched.jsonl" case seed tag)
-          in
-          Conair.Replay.Log.save log path;
-          if failing then recorded_failing := path :: !recorded_failing
-          else recorded_recovered := path :: !recorded_recovered;
-          Some path
-      | _ -> None
-    in
-    (match coll with
-    | Some c ->
-        let ob, nov = observe_run ~case c in
-        if failing then
-          emit_finding ~case ~seed ~outcome:(Aggregate.outcome_tag r.outcome)
-            ~ob ~novelty:nov ~path log
-    | None -> ());
-    r
-  end
+(* One fuzz execution of a hardened build or of the raw program.
+   Hardened runs record whenever observing or saving schedules; raw
+   (unhardened) probes — where the bugs actually fire — only when
+   observing. A recorded run carries a coverage collector when
+   observing, saves its log to --record's DIR when it failed or
+   recovered, and a failure becomes a finding with a replayable log.
+   Recording only taps the scheduler's decisions, so the run itself is
+   unchanged. [tag] disambiguates multiple schedules of the same
+   (case, seed). *)
+type subject = Hardened of Conair.hardened | Raw of Conair.Ir.Program.t
 
-(* An *unhardened* execution of the raw program — where the bugs
-   actually fire. When observing, it runs recorded with a collector so
-   a failure (assert, hang, fuel) becomes a finding with a replayable
-   log; otherwise it is a plain [Conair.execute]. *)
-let probe_unhardened ~case ~seed ?(tag = "") ?(config = config) p =
+let execute_recorded ~case ~seed ?(tag = "") ~config subject =
   incr total_runs;
-  if not (observing ()) then Conair.execute ~config ~engine:!engine p
-  else begin
-    let coll = Coverage.collector () in
-    let ident =
-      Conair.Replay.Log.ident ~variant:case ~mode:"unhardened" "conair_fuzz"
-    in
-    let r, log =
-      Conair.record_run ~config ~engine:!engine ~ident
-        ~race:(Coverage.probe coll) p
-    in
-    let failing = not (Outcome.is_success r.outcome) in
-    let path =
-      match !record_dir with
-      | Some dir when failing ->
-          let path =
-            Filename.concat dir
-              (Printf.sprintf "%s-%d%s-unhardened.sched.jsonl" case seed tag)
-          in
-          Conair.Replay.Log.save log path;
-          recorded_failing := path :: !recorded_failing;
-          Some path
-      | _ -> None
-    in
-    let ob, nov = observe_run ~case coll in
-    if failing then
-      emit_finding ~case ~seed ~outcome:(Aggregate.outcome_tag r.outcome)
-        ~ob ~novelty:nov ~path log;
-    r
-  end
+  let engine = !engine in
+  let recording =
+    observing ()
+    || (match subject with Hardened _ -> !record_dir <> None | Raw _ -> false)
+  in
+  match subject with
+  | Hardened h when not recording -> Conair.execute_hardened ~config ~engine h
+  | Raw p when not recording -> Conair.execute ~config ~engine p
+  | _ ->
+      let coll = if observing () then Some (Coverage.collector ()) else None in
+      let race = Option.map Coverage.probe coll in
+      let mode, suffix =
+        match subject with
+        | Hardened _ -> ("survival", "")
+        | Raw _ -> ("unhardened", "-unhardened")
+      in
+      let ident = Conair.Replay.Log.ident ~variant:case ~mode "conair_fuzz" in
+      let r, log =
+        match subject with
+        | Hardened h -> Conair.run_recorded ~config ~engine ~ident ?race h
+        | Raw p -> Conair.record_run ~config ~engine ~ident ?race p
+      in
+      let failing = not (Outcome.is_success r.outcome) in
+      let recovered = r.Conair.stats.rollbacks > 0 in
+      let path =
+        match !record_dir with
+        | Some dir when failing || recovered ->
+            let path =
+              Filename.concat dir
+                (Printf.sprintf "%s-%d%s%s.sched.jsonl" case seed tag suffix)
+            in
+            Conair.Replay.Log.save log path;
+            if failing then recorded_failing := path :: !recorded_failing
+            else recorded_recovered := path :: !recorded_recovered;
+            Some path
+        | _ -> None
+      in
+      (match coll with
+      | Some c ->
+          let ob, nov = observe_run ~case c in
+          if failing then
+            emit_finding ~case ~seed
+              ~outcome:(Aggregate.outcome_tag r.outcome)
+              ~ob ~novelty:nov ~path log
+      | None -> ());
+      r
 
 let note_run ~case ~seed (r : Conair.run) =
   incr runs;
@@ -300,7 +281,7 @@ let fuzz_arith seed =
     let h = Conair.harden_exn p Conair.Survival in
     let r1 =
       note_run ~case:"arith" ~seed
-        (execute_recorded ~case:"arith" ~seed ~config h)
+        (execute_recorded ~case:"arith" ~seed ~config (Hardened h))
     in
     check "arith: transparency" ~detail
       (r1.outputs = r0.outputs && r1.stats.rollbacks = 0);
@@ -325,14 +306,14 @@ let fuzz_racy seed =
        fires (the oracle assert fail-stops it), producing findings *)
     if observing () then
       ignore
-        (probe_unhardened ~case:"racy" ~seed
+        (execute_recorded ~case:"racy" ~seed
            ~tag:(Printf.sprintf "-p%d" pi)
-           ~config p);
+           ~config (Raw p));
     let r =
       note_run ~case:"racy" ~seed
         (execute_recorded ~case:"racy" ~seed
            ~tag:(Printf.sprintf "-p%d" pi)
-           ~config h)
+           ~config (Hardened h))
     in
     check "racy: recovers" ~detail
       (Outcome.is_success r.outcome && r.outputs = [ string_of_int spec.expected ]);
@@ -376,7 +357,7 @@ let fuzz_ring seed =
   let spec = gen_with seed Gen.ring_spec_gen in
   let detail = Gen.ring_spec_print spec in
   let p = Gen.ring_program spec in
-  let r0 = probe_unhardened ~case:"ring" ~seed p in
+  let r0 = execute_recorded ~case:"ring" ~seed ~config (Raw p) in
   check "ring: hangs unhardened" ~detail
     (match r0.outcome with Outcome.Hang _ -> true | _ -> false);
   let h = Conair.harden_exn p Conair.Survival in
@@ -384,7 +365,7 @@ let fuzz_ring seed =
     note_run ~case:"ring" ~seed
       (execute_recorded ~case:"ring" ~seed
          ~config:{ config with fuel = 2_000_000 }
-         h)
+         (Hardened h))
   in
   check "ring: recovers" ~detail (Outcome.is_success r.outcome);
   check "ring: rollback safety" ~detail (r.stats.tracecheck_violations = 0)
@@ -395,12 +376,12 @@ let fuzz_wakeup seed =
      check recovery unconditionally and the hang only when it applies *)
   let detail = Gen.wakeup_spec_print spec in
   let p = Gen.wakeup_program spec in
-  let r0 = probe_unhardened ~case:"wakeup" ~seed p in
+  let r0 = execute_recorded ~case:"wakeup" ~seed ~config (Raw p) in
   let hung = match r0.outcome with Outcome.Hang _ -> true | _ -> false in
   let h = Conair.harden_exn p Conair.Survival in
   let r =
     note_run ~case:"wakeup" ~seed
-      (execute_recorded ~case:"wakeup" ~seed ~config h)
+      (execute_recorded ~case:"wakeup" ~seed ~config (Hardened h))
   in
   check "wakeup: hardened always succeeds" ~detail
     (Outcome.is_success r.outcome);
@@ -427,7 +408,8 @@ let fuzz_app seed =
   let buggy =
     spec.Bs.make ~variant:Bs.Buggy ~oracle:info.Bs.needs_oracle
   in
-  ignore (probe_unhardened ~case:name ~seed ~config buggy.Bs.program);
+  ignore
+    (execute_recorded ~case:name ~seed ~config (Raw buggy.Bs.program));
   let h =
     match Hashtbl.find_opt app_hardened name with
     | Some h -> h
@@ -437,7 +419,8 @@ let fuzz_app seed =
         h
   in
   let r =
-    note_run ~case:name ~seed (execute_recorded ~case:name ~seed ~config h)
+    note_run ~case:name ~seed
+      (execute_recorded ~case:name ~seed ~config (Hardened h))
   in
   check "app: rollback safety" ~detail (r.stats.tracecheck_violations = 0)
 
@@ -572,8 +555,8 @@ let run_fuzz ~t0 ~lo ~hi ~jsonl_file =
       jsonl := Some w;
       Jsonl.write_json w
         (Jsonl.meta_json ~config
-           (Jsonl.run_meta ~variant:"fuzz" ~seed:lo ~hardened:true
-              "conair_fuzz"))
+           (Jsonl.run_meta ~variant:"fuzz" ~seed:lo
+              ~engine:(Engine.name !engine) ~hardened:true "conair_fuzz"))
   | None -> ());
   for i = lo to hi do
     if !apps_mode then fuzz_app i

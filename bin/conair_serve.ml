@@ -9,9 +9,10 @@
    load from many tenants over pipelined connections, and asserts the
    service guarantees: every job completes, each tenant's results
    arrive in submission order, and every report is byte-identical to
-   the same job executed in-process (hence to the CLI, which shares
-   the code path). It also scrapes the Prometheus endpoint, the status
-   document and a spans export into --out-dir for validation. *)
+   the same job executed in-process (hence to the CLI, which runs its
+   jobs through the same [Job] entry points). It also scrapes the
+   Prometheus endpoint, the status document, a spans export and two
+   failed runs' flight bundles into --out-dir for validation. *)
 
 open Cmdliner
 module Json = Conair_server.Protocol.Json
@@ -227,7 +228,8 @@ let stress_cmd =
       & info [ "out-dir" ] ~docv:"DIR"
           ~doc:
             "Write metrics.prom, status.json, spans.json, \
-             report_hawknl.json and hawknl.bundle.json here.")
+             report_hawknl.json, hawknl.bundle.json and mysql1.bundle.json \
+             here.")
   in
   let run tenants jobs out_dir workers =
     let sock =
@@ -345,54 +347,71 @@ let stress_cmd =
               (Filename.concat out_dir "report_hawknl.json")
               (Json.to_string_pretty report)));
 
-    (* flight bundle: inject a failing run (HawkNL unhardened deadlocks
-       under round-robin), fetch its retained post-mortem, and assert it
-       is byte-identical to the in-process capture and still a working
-       regeneration recipe (recovered log replays divergence-free). This
-       runs before the scrapes below so the exported metrics and status
-       artifacts show the bundle accounting. *)
-    let failing_spec =
-      Protocol.Run
-        {
-          target = Bench { app = "HawkNL"; variant = "buggy"; oracle = false };
-          mode = "none";
-          exec = Protocol.default_exec;
-        }
+    (* flight bundles: inject failing runs (HawkNL unhardened deadlocks
+       under round-robin; MySQL1's wrong output needs its oracle), fetch
+       each retained post-mortem, assert it is byte-identical to the
+       in-process capture, and save it (@serve compares MySQL1's with
+       the CLI's run --flight bundle). HawkNL's must still be a working
+       regeneration recipe (the recovered log replays divergence-free).
+       This runs before the scrapes below so the exported metrics and
+       status artifacts show the bundle accounting. *)
+    let served_bundle app =
+      let id = String.lowercase_ascii app ^ "-failure" in
+      let failing_spec =
+        Protocol.Run
+          {
+            target = Bench { app; variant = "buggy"; oracle = false };
+            mode = "none";
+            exec = Protocol.default_exec;
+          }
+      in
+      (match Client.submit c ~tenant:"cli-equiv" ~id failing_spec with
+      | Error e -> fail "%s bundle job: %s" app e
+      | Ok (frame, _telemetry) ->
+          if Json.int_member "exit" frame <> 2 then
+            fail "%s bundle job: expected the injected run to fail (exit 2)"
+              app);
+      Client.send c (Protocol.Bundle { tenant = "cli-equiv"; id });
+      match Client.recv_until c (fun j -> Client.frame_type j = "bundle") with
+      | None ->
+          fail "%s: no bundle frame" app;
+          None
+      | Some frame -> (
+          match Json.member "bundle" frame with
+          | None ->
+              fail "%s: bundle frame carries no bundle document" app;
+              None
+          | Some doc -> (
+              (match (Job.execute failing_spec).Job.jr_bundle with
+              | None -> fail "%s: in-process run produced no flight bundle" app
+              | Some expect ->
+                  if Json.to_string doc <> Json.to_string expect then
+                    fail
+                      "%s: served bundle differs from the in-process capture"
+                      app);
+              match Conair.Obs.Flight.of_json doc with
+              | Error e ->
+                  fail "%s: served bundle does not decode: %s" app e;
+                  None
+              | Ok b ->
+                  Conair.Obs.Flight.save b
+                    (Filename.concat out_dir
+                       (String.lowercase_ascii app ^ ".bundle.json"));
+                  Some b))
     in
-    (match
-       Client.submit c ~tenant:"cli-equiv" ~id:"hawknl-deadlock" failing_spec
-     with
-    | Error e -> fail "bundle job: %s" e
-    | Ok (frame, _telemetry) ->
-        if Json.int_member "exit" frame <> 2 then
-          fail "bundle job: expected the injected run to fail (exit 2)");
-    Client.send c
-      (Protocol.Bundle { tenant = "cli-equiv"; id = "hawknl-deadlock" });
-    (match Client.recv_until c (fun j -> Client.frame_type j = "bundle") with
-    | None -> fail "no bundle frame"
-    | Some frame -> (
-        match Json.member "bundle" frame with
-        | None -> fail "bundle frame carries no bundle document"
-        | Some doc -> (
-            (match (Job.execute failing_spec).Job.jr_bundle with
-            | None -> fail "in-process run produced no flight bundle"
-            | Some expect ->
-                if Json.to_string doc <> Json.to_string expect then
-                  fail "served bundle differs from the in-process capture");
-            match Conair.Obs.Flight.of_json doc with
-            | Error e -> fail "served bundle does not decode: %s" e
-            | Ok b -> (
-                Conair.Obs.Flight.save b
-                  (Filename.concat out_dir "hawknl.bundle.json");
-                match Conair.Replay.Bundle.recover_log b with
-                | Error e -> fail "bundle regeneration failed: %s" e
-                | Ok log -> (
-                    match Conair.replay log with
-                    | Error _ -> fail "regenerated log does not replay"
-                    | Ok rb -> (
-                        match Conair.Replay.Driver.check log rb with
-                        | Error e -> fail "regenerated log mismatch: %s" e
-                        | Ok () -> ()))))));
+    (match served_bundle "HawkNL" with
+    | None -> ()
+    | Some b -> (
+        match Conair.Replay.Bundle.recover_log b with
+        | Error e -> fail "bundle regeneration failed: %s" e
+        | Ok log -> (
+            match Conair.replay log with
+            | Error _ -> fail "regenerated log does not replay"
+            | Ok rb -> (
+                match Conair.Replay.Driver.check log rb with
+                | Error e -> fail "regenerated log mismatch: %s" e
+                | Ok () -> ()))));
+    ignore (served_bundle "MySQL1");
     Client.send c Protocol.Metrics;
     (match Client.recv_until c (fun j -> Client.frame_type j = "metrics") with
     | Some frame ->
@@ -418,10 +437,10 @@ let stress_cmd =
                 0 ts
           | _ -> 0
         in
-        if completed < (tenants * jobs) + 2 then
+        if completed < (tenants * jobs) + 3 then
           fail "status reports %d completed jobs, expected at least %d"
             completed
-            ((tenants * jobs) + 2)
+            ((tenants * jobs) + 3)
     | None -> fail "no status frame");
     Client.send c (Protocol.Spans { tenant = "cli-equiv"; id = "hawknl-seed7" });
     (match Client.recv_until c (fun j -> Client.frame_type j = "spans") with

@@ -182,6 +182,18 @@ type run_report = {
     post-run fold into spans, metrics and a structured JSON report. *)
 let observed_with ~config ~engine ?meta ?meta_info ?trace_writer program :
     run_report =
+  (* the meta record names the engine that ran and whether the program
+     was hardened, whatever the caller's record said *)
+  let meta_info =
+    Option.map
+      (fun mi ->
+        {
+          mi with
+          Conair_obs.Jsonl.engine = Engine.name engine;
+          hardened = meta <> None;
+        })
+      meta_info
+  in
   let live = Conair_obs.Metrics.create () in
   (match (trace_writer, meta_info) with
   | Some w, Some mi ->
@@ -219,9 +231,8 @@ let run_observed ?(config = Machine.default_config) ?(engine = Engine.Block)
     one is given, as written when [mode] is [None] — with the same
     pipeline either way: live metrics fed from the event stream,
     optional JSONL streaming to [trace_writer], spans, and the
-    structured report. This is the single code path behind both the
-    CLI's run/report subcommands and the serve daemon's run jobs, which
-    is what makes their reports byte-identical. *)
+    structured report. The run-job path of [Conair_server.Job], shared
+    by the CLI's run/report subcommands and the serve daemon. *)
 let run_report_of ?(config = Machine.default_config) ?(engine = Engine.Block)
     ?meta_info ?trace_writer ~(mode : mode option) (p : Program.t) :
     run_report =
@@ -292,9 +303,10 @@ module Fix = struct
   module Pipeline = Conair_fix.Pipeline
 end
 
-let mode_name : mode -> string = function
-  | Survival -> "survival"
-  | Fix _ -> "fix"
+let mode_name : mode option -> string = function
+  | None -> "none"
+  | Some Survival -> "survival"
+  | Some (Fix _) -> "fix"
 
 (* Record while keeping the machine, so the result is a full facade
    [run] next to the schedule log. [race] rides along in the same scoped
@@ -343,7 +355,8 @@ let run_recorded ?config ?engine ?ident ?race (h : hardened) :
     match ident with
     | Some i -> i
     | None ->
-        Conair_replay.Schedule_log.ident ~mode:(mode_name h.plan.Plan.mode)
+        Conair_replay.Schedule_log.ident
+          ~mode:(mode_name (Some h.plan.Plan.mode))
           "program"
   in
   record_into ?config ?engine ?race

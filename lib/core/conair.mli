@@ -109,6 +109,10 @@ end
     cause is unknown. *)
 type mode = Conair_analysis.Plan.mode = Survival | Fix of int list
 
+val mode_name : mode option -> string
+(** ["none"] (run as written), ["survival"] or ["fix"] — the mode tag
+    of schedule-log and bundle idents and of the serve protocol. *)
+
 type hardened = {
   original : Conair_ir.Program.t;
   hardened : Conair_transform.Harden.t;
@@ -184,7 +188,9 @@ val run_observed :
     each event is streamed to [trace_writer] as a JSONL line (preceded by
     a meta record when [meta_info] is given), and after the run the trace
     is folded into recovery spans, the standard metric set, and a
-    structured JSON report. *)
+    structured JSON report. The meta record and the report name the
+    engine that ran and whether the program was hardened, whatever
+    [meta_info]'s [engine] and [hardened] fields said. *)
 
 val run_report_of :
   ?config:Conair_runtime.Machine.config ->
@@ -196,10 +202,10 @@ val run_report_of :
   run_report
 (** One fully-observed execution of the program — hardened per [mode]
     first when one is given, as written when [mode] is [None] — through
-    the same pipeline as {!run_observed} either way. The single code
-    path behind both the CLI's run/report subcommands and the serve
-    daemon's run jobs, which is what makes their reports
-    byte-identical. *)
+    the same pipeline as {!run_observed} either way (so [meta_info]'s
+    [engine] and [hardened] fields are set here too). The code path of
+    [Conair_server.Job]'s run jobs, which the CLI's run/report
+    subcommands and the serve daemon share. *)
 
 val run_profiled :
   ?config:Conair_runtime.Machine.config ->

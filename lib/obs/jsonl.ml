@@ -13,7 +13,7 @@ type run_meta = {
   app : string;
   variant : string;
   seed : int option;
-  engine : string;  (** "fast" ([Machine]) or "ref" ([Ref_machine]) *)
+  engine : string;  (** "ref", "fast" or "block" *)
   hardened : bool;
 }
 

@@ -18,14 +18,16 @@ type run_meta = {
   app : string;  (** benchmark/app name, or a caller-chosen label *)
   variant : string;  (** e.g. "buggy" / "clean"; "" omits the field *)
   seed : int option;  (** random-scheduler seed, when one was used *)
-  engine : string;  (** "fast" ([Machine]) or "ref" ([Ref_machine]) *)
+  engine : string;  (** "ref", "fast" or "block" ({!Engine.name}) *)
   hardened : bool;  (** whether the run executes a hardened program *)
 }
 
 val run_meta :
   ?variant:string -> ?seed:int -> ?engine:string -> ?hardened:bool ->
   string -> run_meta
-(** [engine] defaults to ["fast"], [hardened] to [false]. *)
+(** [engine] defaults to ["fast"], [hardened] to [false]. The facade's
+    observed runs ([Conair.run_observed], [Conair.run_report_of]) set
+    both from the run itself. *)
 
 val config_json : Machine.config -> Json.t
 (** The execution-affecting knobs (policy, fuel, max_retries, deadlock

@@ -33,7 +33,7 @@ let ident ?(variant = "buggy") ?(oracle = false) ?(mode = "none") app =
 
 type t = {
   ident : ident;
-  engine : string;  (** which engine recorded it ("fast" / "ref") *)
+  engine : string;  (** which engine recorded it: "ref", "fast" or "block" *)
   config : Machine.config;
   program_md5 : string;
   program_text : string option;

@@ -5,12 +5,12 @@
    result, and per tenant results arrive in submission order (the
    pool's per-tenant FIFO guarantee).
 
-   The payload vocabulary deliberately mirrors the CLI: a run job with
-   the default knobs produces the same structured report as
+   The payload vocabulary is the CLI's: a run job with the default
+   knobs produces the same structured report as
 
      conair_cli report APP --seed N
 
-   byte for byte, because both sides call [Conair.run_report_of]. *)
+   byte for byte, because both sides execute it through [Job.run]. *)
 
 module Json = Conair_obs.Json
 
@@ -24,16 +24,22 @@ type target =
   | Bench of { app : string; variant : string; oracle : bool }
   | Source of string
 
-(* Execution knobs, defaulting exactly as the CLI's flags do. *)
+(* Execution knobs. The CLI's --engine, --fuel and --max-retries flags
+   take their defaults from [default_exec]. *)
 type exec = {
-  engine : string;  (** "ref" | "fast" | "block" *)
+  engine : Conair.Runtime.Engine.t;  (** on the wire: its name *)
   fuel : int;
   seed : int option;  (** random-scheduler seed; [None] = round-robin *)
   max_retries : int;
 }
 
 let default_exec =
-  { engine = "fast"; fuel = 8_000_000; seed = None; max_retries = 1_000_000 }
+  {
+    engine = Conair.Runtime.Engine.Fast;
+    fuel = 8_000_000;
+    seed = None;
+    max_retries = 1_000_000;
+  }
 
 type spec =
   | Run of { target : target; mode : string; exec : exec }
@@ -176,7 +182,12 @@ let bool_mem ~default k j =
 let ( let* ) = Result.bind
 
 let exec_of_json j =
-  let* engine = string_mem ~default:default_exec.engine "engine" j in
+  let* engine =
+    match mem "engine" j with
+    | None -> Ok default_exec.engine
+    | Some (Json.String name) -> Conair.Runtime.Engine.of_string name
+    | Some _ -> Error "expected string member \"engine\""
+  in
   let* fuel = int_mem ~default:default_exec.fuel "fuel" j in
   let* max_retries =
     int_mem ~default:default_exec.max_retries "max_retries" j
@@ -187,10 +198,7 @@ let exec_of_json j =
     | Some (Json.Int n) -> Ok (Some n)
     | Some _ -> Error "expected int member \"seed\""
   in
-  if not (List.exists (fun e -> Conair.Runtime.Engine.name e = engine)
-            Conair.Runtime.Engine.all)
-  then Error (Printf.sprintf "unknown engine %S" engine)
-  else Ok { engine; fuel; seed; max_retries }
+  Ok { engine; fuel; seed; max_retries }
 
 (* [max_program_bytes] bounds inline payloads (program text, embedded
    schedule logs) so one client cannot balloon the server's memory. *)
@@ -319,7 +327,7 @@ let request_of_line ~max_program_bytes line =
 
 let exec_json e =
   [
-    ("engine", str e.engine);
+    ("engine", str (Conair.Runtime.Engine.name e.engine));
     ("fuel", Json.Int e.fuel);
     ("max_retries", Json.Int e.max_retries);
   ]

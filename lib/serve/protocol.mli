@@ -4,9 +4,9 @@
     submitted job's frames always arrive ack -> telemetry* -> result,
     and a tenant's results arrive in submission order.
 
-    Job payloads mirror the CLI's vocabulary — a run job with default
+    Job payloads use the CLI's vocabulary — a run job with default
     knobs yields the same report bytes as [conair_cli report], because
-    both call {!Conair.run_report_of}. See [docs/SERVER.md]. *)
+    both execute it through {!Job.run}. See [docs/SERVER.md]. *)
 
 module Json = Conair_obs.Json
 
@@ -16,10 +16,13 @@ type target =
   | Bench of { app : string; variant : string; oracle : bool }
   | Source of string
 
-(** Execution knobs, defaulting exactly as the CLI's flags do: fast
-    engine, fuel 8M, round-robin (or [Random seed]), retry budget 1M. *)
+(** Execution knobs. [default_exec] — fast engine, fuel 8M,
+    round-robin (or [Random seed]), retry budget 1M — is also where the
+    CLI's --engine, --fuel and --max-retries flags take their defaults.
+    On the wire the engine travels as its {!Conair.Runtime.Engine.name};
+    an unknown name is a decode error. *)
 type exec = {
-  engine : string;
+  engine : Conair.Runtime.Engine.t;
   fuel : int;
   seed : int option;
   max_retries : int;

@@ -187,6 +187,49 @@ let jsonl_stream_matches_batch () =
         (Json.member "type" meta_line = Some (Json.String "meta"))
   | Error e -> Alcotest.failf "meta line: %s" e
 
+(* An observed run's meta names the engine that ran and whether the
+   program was hardened — in the trace's meta line and in the report —
+   whatever the caller's [run_meta] record said. *)
+let meta_names_engine_and_hardening () =
+  let spec = Option.get (Registry.find "HawkNL") in
+  let inst = spec.make ~variant:Spec.Buggy ~oracle:false in
+  List.iter
+    (fun (engine, mode, hardened) ->
+      let label =
+        Printf.sprintf "%s, hardened %b" (Conair.Runtime.Engine.name engine)
+          hardened
+      in
+      let b = Buffer.create 4096 in
+      let rr =
+        Conair.run_report_of ~engine
+          ~meta_info:(Jsonl.run_meta ~variant:"buggy" "HawkNL")
+          ~trace_writer:(Jsonl.buffer_writer b) ~mode inst.program
+      in
+      let first_line =
+        List.hd (String.split_on_char '\n' (Buffer.contents b))
+      in
+      let meta_line =
+        match Json.of_string first_line with
+        | Ok j -> j
+        | Error e -> Alcotest.failf "%s: meta line: %s" label e
+      in
+      List.iter
+        (fun (what, doc) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %s engine" label what)
+            true
+            (Json.member "engine" doc
+            = Some (Json.String (Conair.Runtime.Engine.name engine)));
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %s hardened" label what)
+            true
+            (Json.member "hardened" doc = Some (Json.Bool hardened)))
+        [ ("meta line", meta_line); ("report", rr.Conair.report) ])
+    [
+      (Conair.Runtime.Engine.Block, Some Conair.Survival, true);
+      (Conair.Runtime.Engine.Ref, None, false);
+    ]
+
 (* --- Span builder: one span per episode ---------------------------- *)
 
 let run_observed_app name =
@@ -674,6 +717,8 @@ let suites =
         case "json parser" json_parser;
         case "jsonl golden log" jsonl_golden;
         case "jsonl stream equals batch" jsonl_stream_matches_batch;
+        case "run meta names engine and hardening"
+          meta_names_engine_and_hardening;
         case "one span per recovery episode" spans_match_episodes;
         case "span builder on synthetic streams" spans_synthetic;
         case "chrome trace shape" chrome_trace_shape;

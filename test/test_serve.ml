@@ -6,8 +6,11 @@
    report identical to direct [Job.execute], survival of an abrupt
    client disconnect), the hook re-entrancy property the daemon leans on
    (interleaved in-process runs with different probes produce the same
-   reports as sequential runs), and the [Obs.Aggregate] guards against
-   degenerate percentile and throughput inputs. *)
+   reports as sequential runs), the one-executor guarantees (a served
+   failure bundle replays against the registry program its ident names;
+   the CLI's job documents and exit codes equal [Job.execute]'s), and
+   the [Obs.Aggregate] guards against degenerate percentile and
+   throughput inputs. *)
 
 module Json = Conair.Obs.Json
 module Jsonl = Conair.Obs.Jsonl
@@ -454,6 +457,141 @@ let interleaved_runs_match_sequential () =
   Alcotest.(check string) "untraced run unchanged when interleaved" seq_b
     !out_b
 
+(* --- one executor: served bundles and CLI documents ----------------- *)
+
+let bench app = Protocol.Bench { app; variant = "buggy"; oracle = false }
+
+(* A failed served run's bundle names the program that ran: the log it
+   regenerates replays against the registry program rebuilt from the
+   log's own variant and oracle flag — for apps that need an oracle to
+   see their wrong-output failure too. *)
+let served_bundle_replays_on_registry () =
+  List.iter
+    (fun app ->
+      let o =
+        Job.execute
+          (Protocol.Run
+             {
+               target = bench app;
+               mode = "none";
+               exec = Protocol.default_exec;
+             })
+      in
+      Alcotest.(check int)
+        (app ^ ": the unhardened run fails")
+        2 o.Job.jr_exit;
+      let doc =
+        match o.Job.jr_bundle with
+        | Some doc -> doc
+        | None -> Alcotest.failf "%s: no bundle" app
+      in
+      let log =
+        match Conair.Obs.Flight.of_json doc with
+        | Error e -> Alcotest.failf "%s: bundle: %s" app e
+        | Ok b -> (
+            match Conair.Replay.Bundle.recover_log b with
+            | Error e -> Alcotest.failf "%s: recover: %s" app e
+            | Ok log -> log)
+      in
+      let id = log.Conair.Replay.Log.ident in
+      let inst =
+        (Option.get (Registry.find id.Conair.Replay.Log.id_app)).Spec.make
+          ~variant:
+            (if id.Conair.Replay.Log.id_variant = "clean" then Spec.Clean
+             else Spec.Buggy)
+          ~oracle:id.Conair.Replay.Log.id_oracle
+      in
+      match Conair.replay ~program:inst.Spec.program log with
+      | Error e ->
+          Alcotest.failf "%s: replay on the registry program: %s" app
+            (Conair.Replay.Driver.error_to_string e)
+      | Ok rb ->
+          Alcotest.(check bool) (app ^ ": faithful replay") true
+            (Conair.Replay.Driver.check log rb = Ok ()))
+    [ "MySQL1"; "FFT"; "HawkNL" ]
+
+let cli_path () =
+  match
+    List.find_opt Sys.file_exists
+      [ "../bin/conair_cli.exe"; "_build/default/bin/conair_cli.exe" ]
+  with
+  | Some cli -> cli
+  | None -> Alcotest.fail "conair_cli.exe not built"
+
+let read_file file = In_channel.with_open_bin file In_channel.input_all
+
+(* Every file the CLI writes for a job kind is the byte encoding of the
+   in-process [Job.execute] result for the same inputs, and the exit
+   codes agree: report --out, races --json, minimize --json, fix --json
+   and run --no-harden --flight, on a wrong-output and a deadlock app. *)
+let cli_matches_job () =
+  let cli = cli_path () in
+  let dir = Filename.temp_dir "conair-parity" "" in
+  let path name = Filename.concat dir name in
+  let cli_exit args =
+    Sys.command
+      (Filename.quote_command cli ~stdout:Filename.null ~stderr:Filename.null
+         args)
+  in
+  let same what ~file args spec ~bytes_of =
+    let o = Job.execute spec in
+    Alcotest.(check int) (what ^ ": exit code") o.Job.jr_exit (cli_exit args);
+    Alcotest.(check string) (what ^ ": document") (bytes_of o) (read_file file)
+  in
+  let pretty (o : Job.outcome) = Json.to_string_pretty o.Job.jr_report in
+  let exec = Protocol.default_exec in
+  let check app =
+    let target = bench app and lower = String.lowercase_ascii app in
+    let out kind = path (lower ^ "." ^ kind ^ ".json") in
+    same (app ^ " report") ~file:(out "report")
+      [ "report"; app; "--out"; out "report" ]
+      (Protocol.Run { target; mode = "survival"; exec })
+      ~bytes_of:pretty;
+    same (app ^ " races") ~file:(out "races")
+      [ "races"; app; "--json"; out "races" ]
+      (Protocol.Detect { target; original = false; exec })
+      ~bytes_of:pretty;
+    same (app ^ " fix") ~file:(out "fix")
+      [
+        "fix"; app; "--sweep-seeds"; "4"; "--search-seeds"; "4"; "--json";
+        out "fix";
+      ]
+      (Protocol.Fix
+         {
+           target;
+           max_candidates = 8;
+           sweep_seeds = 4;
+           search_seeds = 4;
+           exec;
+         })
+      ~bytes_of:pretty;
+    same (app ^ " run --flight")
+      ~file:(path ("flight_" ^ lower ^ ".bundle.json"))
+      [ "run"; app; "--no-harden"; "--flight"; "--bundle-out"; dir ]
+      (Protocol.Run { target; mode = "none"; exec })
+      ~bytes_of:(fun o ->
+        match o.Job.jr_bundle with
+        | Some doc -> Json.to_string doc ^ "\n"
+        | None -> Alcotest.failf "%s: served run kept no bundle" app);
+    let log = path (lower ^ ".sched.jsonl") in
+    Alcotest.(check int) (app ^ " record: exit code") 2
+      (cli_exit [ "run"; app; "--no-harden"; "--record"; log ]);
+    let lines =
+      List.filter
+        (fun l -> String.trim l <> "")
+        (In_channel.with_open_text log In_channel.input_lines)
+    in
+    same (app ^ " minimize") ~file:(out "minimize")
+      [ "minimize"; "--log"; log; "--json"; out "minimize" ]
+      (Protocol.Minimize { log = lines; max_tests = 2000; detect = true })
+      ~bytes_of:pretty
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (path f)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () -> List.iter check [ "MySQL1"; "HawkNL" ])
+
 (* --- Aggregate guards ----------------------------------------------- *)
 
 let aggregate_percentile_guards () =
@@ -546,6 +684,12 @@ let suites =
       [
         Alcotest.test_case "interleaved runs match sequential" `Quick
           interleaved_runs_match_sequential;
+      ] );
+    ( "serve.executor",
+      [
+        Alcotest.test_case "served bundles replay on the registry program"
+          `Quick served_bundle_replays_on_registry;
+        Alcotest.test_case "CLI documents are Job's" `Quick cli_matches_job;
       ] );
     ( "serve.aggregate",
       [
