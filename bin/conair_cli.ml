@@ -212,7 +212,8 @@ let harden_cmd =
 
 (* One observed run ([Job.run]), writing whichever telemetry files were
    requested. *)
-let observed_run ~trace_json ~metrics_file ~spans_file t ~mode exec =
+let observed_run ?trace_json ?metrics_file ?spans_file ?record ?flight t ~mode
+    exec =
   let with_trace_writer k =
     match trace_json with
     | None -> k None
@@ -221,7 +222,8 @@ let observed_run ~trace_json ~metrics_file ~spans_file t ~mode exec =
             k (Some (Obs.Jsonl.channel_writer oc)))
   in
   let j =
-    with_trace_writer @@ fun trace_writer -> Job.run ?trace_writer t ~mode exec
+    with_trace_writer @@ fun trace_writer ->
+    Job.run ?trace_writer ?record ?flight t ~mode exec
   in
   (match metrics_file with
   | Some file ->
@@ -294,42 +296,38 @@ let bundle_out_arg =
     & info [ "bundle-out" ] ~docv:"DIR"
         ~doc:"Directory for --flight diagnostic bundles (default: .).")
 
-(* --record and --flight: re-capture the displayed run (runs are
-   deterministic) as a schedule log and a flight bundle named after the
-   target's label. [full] prints the bundle's preemption and event
-   counts too. *)
-let save_captures ~full ~record ~flight ~bundle_out (t : Job.target) ~mode
-    exec (r : Conair.run) =
-  (match record with
-  | Some file ->
-      let log = Job.capture Job.Schedule t ~mode exec in
+(* --record and --flight: save the schedule log and the flight bundle
+   that rode on the displayed run, named after the target's label.
+   [full] prints the bundle's preemption and event counts too. *)
+let save_captures ~full ~record ~bundle_out (t : Job.target) (r : Conair.run)
+    =
+  (match (record, r.log) with
+  | Some file, Some log ->
       Replay.Log.save log file;
       Format.printf "recorded: %s (%d decisions, %d preemptions)@." file
         (Array.length log.Replay.Log.decisions)
         (Array.length log.Replay.Log.preemptions)
-  | None -> ());
-  if flight then begin
-    let reason =
-      if Outcome.is_success r.outcome then "requested" else "failure"
-    in
-    let b = Job.capture (Job.Flight reason) t ~mode exec in
-    let file =
-      Filename.concat bundle_out
-        ("flight_" ^ String.lowercase_ascii t.label ^ ".bundle.json")
-    in
-    Obs.Flight.save b file;
-    let open Obs.Flight in
-    if full then
-      Format.printf
-        "flight bundle: %s (%d of %d decisions retained, %d preemptions, \
-         %d events)@."
-        file (Array.length b.fb_tail) b.fb_tail_total
-        (Array.length b.fb_tail_preemptions)
-        (List.length b.fb_events)
-    else
-      Format.printf "flight bundle: %s (%d of %d decisions retained)@." file
-        (Array.length b.fb_tail) b.fb_tail_total
-  end
+  | _ -> ());
+  match r.bundle with
+  | None -> ()
+  | Some b ->
+      let b = Lazy.force b in
+      let file =
+        Filename.concat bundle_out
+          ("flight_" ^ String.lowercase_ascii t.label ^ ".bundle.json")
+      in
+      Obs.Flight.save b file;
+      let open Obs.Flight in
+      if full then
+        Format.printf
+          "flight bundle: %s (%d of %d decisions retained, %d preemptions, \
+           %d events)@."
+          file (Array.length b.fb_tail) b.fb_tail_total
+          (Array.length b.fb_tail_preemptions)
+          (List.length b.fb_events)
+      else
+        Format.printf "flight bundle: %s (%d of %d decisions retained)@." file
+          (Array.length b.fb_tail) b.fb_tail_total
 
 let run_cmd =
   let no_harden_arg =
@@ -364,22 +362,12 @@ let run_cmd =
         Job.mode_of t
           (if no_harden then "none" else if fix then "fix" else "survival")
       in
-      let telemetry =
-        trace || trace_json <> None || metrics_file <> None
-        || spans_file <> None
+      let j =
+        observed_run ?trace_json ?metrics_file ?spans_file
+          ~record:(record <> None) ~flight t ~mode exec
       in
-      let r, events, exit =
-        if telemetry then
-          let j =
-            observed_run ~trace_json ~metrics_file ~spans_file t ~mode exec
-          in
-          (j.value.run, j.value.events, j.outcome.jr_exit)
-        else
-          (* telemetry is opt-in: no sink, no event stream, no cost *)
-          let r = Job.run_bare t ~mode exec in
-          (r, [], Job.run_exit r)
-      in
-      save_captures ~full:true ~record ~flight ~bundle_out t ~mode exec r;
+      let r = j.value.run in
+      save_captures ~full:true ~record ~bundle_out t r;
       Format.printf "outcome:  %a@." Outcome.pp r.outcome;
       List.iter (fun o -> Format.printf "output:   %s@." o) r.outputs;
       Format.printf "accepted: %b@." (t.inst.accept r.outputs);
@@ -391,11 +379,11 @@ let run_cmd =
       end;
       if trace then begin
         let sink = Trace.create () in
-        List.iter (Trace.record sink) events;
+        List.iter (Trace.record sink) j.value.events;
         Format.printf "@[<v 2>recovery trace:@ %a@]@."
           Trace.pp_recovery_summary sink
       end;
-      exit
+      j.outcome.jr_exit
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Execute a benchmark, hardened by default.")
@@ -429,7 +417,9 @@ let report_cmd =
   let run target exec fix prometheus out trace_json metrics_file spans_file =
     let@ t = target in
     let@ mode = Job.mode_of t (if fix then "fix" else "survival") in
-    let j = observed_run ~trace_json ~metrics_file ~spans_file t ~mode exec in
+    let j =
+      observed_run ?trace_json ?metrics_file ?spans_file t ~mode exec
+    in
     let contents =
       if prometheus then Obs.Metrics.to_prometheus j.value.metrics
       else Obs.Json.to_string_pretty j.outcome.jr_report
@@ -531,12 +521,13 @@ let file_cmd =
           0
         end
         else
-          let r = Job.run_bare t ~mode exec in
-          save_captures ~full:false ~record ~flight ~bundle_out t ~mode exec r;
+          let j = observed_run ~record:(record <> None) ~flight t ~mode exec in
+          let r = j.value.run in
+          save_captures ~full:false ~record ~bundle_out t r;
           Format.printf "outcome: %a@." Outcome.pp r.outcome;
           List.iter (Format.printf "output:  %s@.") r.outputs;
           if mode <> None then Format.printf "stats:   %a@." Stats.pp r.stats;
-          Job.run_exit r)
+          j.outcome.jr_exit)
   in
   Cmd.v
     (Cmd.info "file"
@@ -812,7 +803,7 @@ let overhead_cmd =
             Conair.harden_exn c.Obs.Overhead.buggy_survival.Obs.Overhead.program
               Conair.Survival
           in
-          let _, rep = Conair.detect_hardened ~config h in
+          let _, rep = Conair.run_detected ~config (Conair.Hardened h) in
           (if rep.Conair.Race.Report.races <> [] then [ "hb" ] else [])
           @ (if rep.Conair.Race.Report.warnings <> [] then [ "lockset" ]
              else [])

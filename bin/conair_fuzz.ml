@@ -203,56 +203,51 @@ let observe_run ~case (coll : Coverage.collector) =
    Recording only taps the scheduler's decisions, so the run itself is
    unchanged. [tag] disambiguates multiple schedules of the same
    (case, seed). *)
-type subject = Hardened of Conair.hardened | Raw of Conair.Ir.Program.t
-
-let execute_recorded ~case ~seed ?(tag = "") ~config subject =
+let execute_recorded ~case ~seed ?(tag = "") ~config
+    (subject : Conair.subject) =
   incr total_runs;
   let engine = !engine in
-  let recording =
-    observing ()
-    || (match subject with Hardened _ -> !record_dir <> None | Raw _ -> false)
+  let hardened =
+    match subject with Conair.Hardened _ -> true | Conair.Program _ -> false
   in
-  match subject with
-  | Hardened h when not recording -> Conair.execute_hardened ~config ~engine h
-  | Raw p when not recording -> Conair.execute ~config ~engine p
-  | _ ->
-      let coll = if observing () then Some (Coverage.collector ()) else None in
-      let race = Option.map Coverage.probe coll in
-      let mode, suffix =
-        match subject with
-        | Hardened _ -> ("survival", "")
-        | Raw _ -> ("unhardened", "-unhardened")
-      in
-      let ident = Conair.Replay.Log.ident ~variant:case ~mode "conair_fuzz" in
-      let r, log =
-        match subject with
-        | Hardened h -> Conair.run_recorded ~config ~engine ~ident ?race h
-        | Raw p -> Conair.record_run ~config ~engine ~ident ?race p
-      in
-      let failing = not (Outcome.is_success r.outcome) in
-      let recovered = r.Conair.stats.rollbacks > 0 in
-      let path =
-        match !record_dir with
-        | Some dir when failing || recovered ->
-            let path =
-              Filename.concat dir
-                (Printf.sprintf "%s-%d%s%s.sched.jsonl" case seed tag suffix)
-            in
-            Conair.Replay.Log.save log path;
-            if failing then recorded_failing := path :: !recorded_failing
-            else recorded_recovered := path :: !recorded_recovered;
-            Some path
-        | _ -> None
-      in
-      (match coll with
-      | Some c ->
-          let ob, nov = observe_run ~case c in
-          if failing then
-            emit_finding ~case ~seed
-              ~outcome:(Aggregate.outcome_tag r.outcome)
-              ~ob ~novelty:nov ~path log
-      | None -> ());
-      r
+  if not (observing () || (hardened && !record_dir <> None)) then
+    Conair.run ~config ~engine subject
+  else
+    let coll = if observing () then Some (Coverage.collector ()) else None in
+    let race = Option.map Coverage.probe coll in
+    let mode, suffix =
+      if hardened then ("survival", "") else ("unhardened", "-unhardened")
+    in
+    let ident = Conair.Replay.Log.ident ~variant:case ~mode "conair_fuzz" in
+    let r =
+      Conair.run ~config ~engine ~hooks:(Conair.Runtime.Hooks.bundle ?race ())
+        ~ident ~record:true subject
+    in
+    let log = Option.get r.log in
+    let failing = not (Outcome.is_success r.outcome) in
+    let recovered = r.Conair.stats.rollbacks > 0 in
+    let path =
+      match !record_dir with
+      | Some dir when failing || recovered ->
+          let path =
+            Filename.concat dir
+              (Printf.sprintf "%s-%d%s%s.sched.jsonl" case seed tag suffix)
+          in
+          Conair.Replay.Log.save log path;
+          if failing then recorded_failing := path :: !recorded_failing
+          else recorded_recovered := path :: !recorded_recovered;
+          Some path
+      | _ -> None
+    in
+    (match coll with
+    | Some c ->
+        let ob, nov = observe_run ~case c in
+        if failing then
+          emit_finding ~case ~seed
+            ~outcome:(Aggregate.outcome_tag r.outcome)
+            ~ob ~novelty:nov ~path log
+    | None -> ());
+    r
 
 let note_run ~case ~seed (r : Conair.run) =
   incr runs;
@@ -281,7 +276,7 @@ let fuzz_arith seed =
     let h = Conair.harden_exn p Conair.Survival in
     let r1 =
       note_run ~case:"arith" ~seed
-        (execute_recorded ~case:"arith" ~seed ~config (Hardened h))
+        (execute_recorded ~case:"arith" ~seed ~config (Conair.Hardened h))
     in
     check "arith: transparency" ~detail
       (r1.outputs = r0.outputs && r1.stats.rollbacks = 0);
@@ -308,12 +303,12 @@ let fuzz_racy seed =
       ignore
         (execute_recorded ~case:"racy" ~seed
            ~tag:(Printf.sprintf "-p%d" pi)
-           ~config (Raw p));
+           ~config (Conair.Program p));
     let r =
       note_run ~case:"racy" ~seed
         (execute_recorded ~case:"racy" ~seed
            ~tag:(Printf.sprintf "-p%d" pi)
-           ~config (Hardened h))
+           ~config (Conair.Hardened h))
     in
     check "racy: recovers" ~detail
       (Outcome.is_success r.outcome && r.outputs = [ string_of_int spec.expected ]);
@@ -321,7 +316,9 @@ let fuzz_racy seed =
     if !detect then begin
       (* same schedule again, this time with the detector installed *)
       incr detect_schedules;
-      let _, rep = Conair.detect_hardened ~config ~engine:!engine h in
+      let _, rep =
+        Conair.run_detected ~config ~engine:!engine (Conair.Hardened h)
+      in
       List.iter
         (fun rc ->
           let a = Conair.Race.Report.addr_string rc.Conair.Race.Report.rc_addr in
@@ -357,7 +354,7 @@ let fuzz_ring seed =
   let spec = gen_with seed Gen.ring_spec_gen in
   let detail = Gen.ring_spec_print spec in
   let p = Gen.ring_program spec in
-  let r0 = execute_recorded ~case:"ring" ~seed ~config (Raw p) in
+  let r0 = execute_recorded ~case:"ring" ~seed ~config (Conair.Program p) in
   check "ring: hangs unhardened" ~detail
     (match r0.outcome with Outcome.Hang _ -> true | _ -> false);
   let h = Conair.harden_exn p Conair.Survival in
@@ -365,7 +362,7 @@ let fuzz_ring seed =
     note_run ~case:"ring" ~seed
       (execute_recorded ~case:"ring" ~seed
          ~config:{ config with fuel = 2_000_000 }
-         (Hardened h))
+         (Conair.Hardened h))
   in
   check "ring: recovers" ~detail (Outcome.is_success r.outcome);
   check "ring: rollback safety" ~detail (r.stats.tracecheck_violations = 0)
@@ -376,12 +373,12 @@ let fuzz_wakeup seed =
      check recovery unconditionally and the hang only when it applies *)
   let detail = Gen.wakeup_spec_print spec in
   let p = Gen.wakeup_program spec in
-  let r0 = execute_recorded ~case:"wakeup" ~seed ~config (Raw p) in
+  let r0 = execute_recorded ~case:"wakeup" ~seed ~config (Conair.Program p) in
   let hung = match r0.outcome with Outcome.Hang _ -> true | _ -> false in
   let h = Conair.harden_exn p Conair.Survival in
   let r =
     note_run ~case:"wakeup" ~seed
-      (execute_recorded ~case:"wakeup" ~seed ~config (Hardened h))
+      (execute_recorded ~case:"wakeup" ~seed ~config (Conair.Hardened h))
   in
   check "wakeup: hardened always succeeds" ~detail
     (Outcome.is_success r.outcome);
@@ -409,7 +406,8 @@ let fuzz_app seed =
     spec.Bs.make ~variant:Bs.Buggy ~oracle:info.Bs.needs_oracle
   in
   ignore
-    (execute_recorded ~case:name ~seed ~config (Raw buggy.Bs.program));
+    (execute_recorded ~case:name ~seed ~config
+       (Conair.Program buggy.Bs.program));
   let h =
     match Hashtbl.find_opt app_hardened name with
     | Some h -> h
@@ -420,7 +418,7 @@ let fuzz_app seed =
   in
   let r =
     note_run ~case:name ~seed
-      (execute_recorded ~case:name ~seed ~config (Hardened h))
+      (execute_recorded ~case:name ~seed ~config (Conair.Hardened h))
   in
   check "app: rollback safety" ~detail (r.stats.tracecheck_violations = 0)
 

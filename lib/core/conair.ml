@@ -6,7 +6,7 @@
 
     {[
       let hardened = Conair.harden_exn program Conair.Survival in
-      let run = Conair.execute_hardened hardened ~policy:Round_robin in
+      let run = Conair.execute_hardened hardened in
       (* run.outcome, run.stats.rollbacks, ... *)
     ]}
 
@@ -132,36 +132,49 @@ let harden_exn ?analysis ?transform p mode =
   | Ok h -> h
   | Error e -> invalid_arg ("Conair.harden: " ^ e)
 
-(** One program execution and everything measured about it. [machine] is
-    packed per engine; use [Engine.steps] / [Engine.sched] / ... for
-    engine-generic access. *)
-type run = {
+let mode_name : mode option -> string = function
+  | None -> "none"
+  | Some Survival -> "survival"
+  | Some (Fix _) -> "fix"
+
+(** What a run executes: a program as written, or a hardened one with
+    its recovery metadata. *)
+type subject = Program of Program.t | Hardened of hardened
+
+(** One program execution, what was measured about it and what rode on
+    it. [machine] is packed per engine; use [Engine.steps] /
+    [Engine.sched] / ... for engine-generic access. *)
+type run = Conair_replay.Runner.t = {
   outcome : Outcome.t;
   outputs : string list;
   stats : Stats.t;
   machine : Engine.machine;
+  log : Conair_replay.Schedule_log.t option;
+  bundle : Conair_obs.Flight.t Lazy.t option;
 }
 
-let make_run machine outcome =
-  {
-    outcome;
-    outputs = Engine.outputs machine;
-    stats = Engine.stats machine;
-    machine;
-  }
-
-let execute ?(config = Machine.default_config) ?(engine = Engine.Block)
-    (p : Program.t) : run =
-  let machine, outcome = Engine.run_program ~config engine p in
-  make_run machine outcome
-
-let execute_hardened ?(config = Machine.default_config)
-    ?(engine = Engine.Block) (h : hardened) : run =
-  let meta = Machine.meta_of_harden h.hardened in
-  let machine, outcome =
-    Engine.run_program ~config ~meta engine h.hardened.program
+(** The facade's one run: [subject] executed once through
+    [Conair_replay.Runner.exec]. The default ident names the subject's
+    mode. *)
+let run ?config ?engine ?hooks ?ident ?record ?flight subject : run =
+  let program, meta, mode =
+    match subject with
+    | Program p -> (p, None, None)
+    | Hardened h ->
+        ( h.hardened.program,
+          Some (Machine.meta_of_harden h.hardened),
+          Some h.plan.Plan.mode )
   in
-  make_run machine outcome
+  let ident =
+    match ident with
+    | Some i -> i
+    | None -> Conair_replay.Schedule_log.ident ~mode:(mode_name mode) "program"
+  in
+  Conair_replay.Runner.exec ?engine ?config ?meta ?hooks ~ident ?record
+    ?flight program
+
+let execute ?config ?engine p = run ?config ?engine (Program p)
+let execute_hardened ?config ?engine h = run ?config ?engine (Hardened h)
 
 (** One observed execution: the run itself plus every telemetry artifact
     the observability layer derives from it. *)
@@ -176,12 +189,13 @@ type run_report = {
   report : Conair_obs.Json.t;  (** the structured run report *)
 }
 
-(** Run a hardened program with the full observability layer installed:
-    live metrics fed from the event stream, optional JSONL streaming to
-    [trace_writer] (meta record first when [meta_info] is given), and a
-    post-run fold into spans, metrics and a structured JSON report. *)
-let observed_with ~config ~engine ?meta ?meta_info ?trace_writer program :
-    run_report =
+(** [run] with the full observability layer installed: live metrics fed
+    from the event stream, optional JSONL streaming to [trace_writer]
+    (meta record first when [meta_info] is given), and a post-run fold
+    into spans, metrics and a structured JSON report. The recorder and
+    the flight ring ride on the same run. *)
+let run_observed ?(config = Machine.default_config) ?(engine = Engine.Block)
+    ?meta_info ?trace_writer ?ident ?record ?flight subject : run_report =
   (* the meta record names the engine that ran and whether the program
      was hardened, whatever the caller's record said *)
   let meta_info =
@@ -190,7 +204,8 @@ let observed_with ~config ~engine ?meta ?meta_info ?trace_writer program :
         {
           mi with
           Conair_obs.Jsonl.engine = Engine.name engine;
-          hardened = meta <> None;
+          hardened =
+            (match subject with Hardened _ -> true | Program _ -> false);
         })
       meta_info
   in
@@ -206,79 +221,32 @@ let observed_with ~config ~engine ?meta ?meta_info ?trace_writer program :
     Conair_obs.Report.live_metrics live ev
   in
   let sink = Trace.create ~emit () in
-  let m =
-    Engine.create ~config ?meta ~hooks:(Hooks.bundle ~trace:sink ()) engine
-      program
+  let r =
+    run ~config ~engine ~hooks:(Hooks.bundle ~trace:sink ()) ?ident ?record
+      ?flight subject
   in
-  let outcome = Engine.run m in
-  let run = make_run m outcome in
   let events = Trace.events sink in
   let spans = Conair_obs.Span.of_events events in
-  let metrics = Conair_obs.Report.standard_metrics ~into:live run.stats in
+  let metrics = Conair_obs.Report.standard_metrics ~into:live r.stats in
   let report =
-    Conair_obs.Report.run_json ?meta:meta_info ~config ~spans ~outcome
-      ~outputs:run.outputs run.stats
+    Conair_obs.Report.run_json ?meta:meta_info ~config ~spans
+      ~outcome:r.outcome ~outputs:r.outputs r.stats
   in
-  { run; events; spans; metrics; report }
+  { run = r; events; spans; metrics; report }
 
-let run_observed ?(config = Machine.default_config) ?(engine = Engine.Block)
-    ?meta_info ?trace_writer (h : hardened) : run_report =
-  let meta = Machine.meta_of_harden h.hardened in
-  observed_with ~config ~engine ~meta ?meta_info ?trace_writer
-    h.hardened.program
-
-(** One fully-observed execution of [p] — hardened per [mode] first when
-    one is given, as written when [mode] is [None] — with the same
-    pipeline either way: live metrics fed from the event stream,
-    optional JSONL streaming to [trace_writer], spans, and the
-    structured report. The run-job path of [Conair_server.Job], shared
-    by the CLI's run/report subcommands and the serve daemon. *)
-let run_report_of ?(config = Machine.default_config) ?(engine = Engine.Block)
-    ?meta_info ?trace_writer ~(mode : mode option) (p : Program.t) :
-    run_report =
-  match mode with
-  | Some mode ->
-      run_observed ~config ~engine ?meta_info ?trace_writer (harden_exn p mode)
-  | None -> observed_with ~config ~engine ?meta_info ?trace_writer p
-
-(** Run a hardened program with the cost profiler installed and return
-    the finalized profile next to the run: per-context useful/checkpoint/
-    wasted attribution, per-site rollback waste, flamegraph and Chrome
-    counter exports (see [Obs.Prof]). *)
-let run_profiled ?(config = Machine.default_config) ?(engine = Engine.Block)
-    (h : hardened) : run * Conair_obs.Prof.t =
-  let meta = Machine.meta_of_harden h.hardened in
-  let prof = Conair_obs.Prof.create () in
-  let m =
-    Engine.create ~config ~meta
-      ~hooks:(Hooks.bundle ~profile:(Conair_obs.Prof.probe prof) ())
-      engine h.hardened.program
-  in
-  let outcome = Engine.run m in
-  Conair_obs.Prof.finalize prof;
-  (make_run m outcome, prof)
-
-(** Run a program with the race/deadlock detector installed and return
-    the finalized report next to the run. Pass [meta] (from
-    [Machine.meta_of_harden]) to detect on a hardened program — the mode
-    that matters for fail-stop bugs, where recovery keeps the run alive
-    long enough for the conflicting access to execute. *)
-let run_detected ?(config = Machine.default_config) ?(engine = Engine.Block)
-    ?options ?meta (p : Program.t) : run * Conair_race.Report.t =
+(** Run with the race/deadlock detector installed and return the
+    finalized report next to the run. On a hardened subject — the mode
+    that matters for fail-stop bugs — recovery keeps the run alive long
+    enough for the conflicting access to execute. *)
+let run_detected ?config ?engine ?options subject : run * Conair_race.Report.t
+    =
   let d = Conair_race.Detect.create ?options () in
-  let m =
-    Engine.create ~config ?meta
+  let r =
+    run ?config ?engine
       ~hooks:(Hooks.bundle ~race:(Conair_race.Detect.probe d) ())
-      engine p
+      subject
   in
-  let outcome = Engine.run m in
-  (make_run m outcome, Conair_race.Detect.report d)
-
-(** [run_detected] on a hardened program with its recovery metadata. *)
-let detect_hardened ?config ?engine ?options (h : hardened) =
-  run_detected ?config ?engine ?options
-    ~meta:(Machine.meta_of_harden h.hardened)
-    h.hardened.program
+  (r, Conair_race.Detect.report d)
 
 (** Schedule record-and-replay: the scheduler-decision recorder, the
     strict/directed replay feeds, the time-travel inspector and the
@@ -291,6 +259,7 @@ module Replay = struct
   module Inspect = Conair_replay.Inspect
   module Minimize = Conair_replay.Minimize
   module Bundle = Conair_replay.Bundle
+  module Runner = Conair_replay.Runner
 end
 
 (** Automated fix synthesis: from a race report and a recorded failing
@@ -303,95 +272,41 @@ module Fix = struct
   module Pipeline = Conair_fix.Pipeline
 end
 
-let mode_name : mode option -> string = function
-  | None -> "none"
-  | Some Survival -> "survival"
-  | Some (Fix _) -> "fix"
+(* [race] rides along in the same hook bundle — campaign workers
+   observe schedule coverage (the [Obs.Coverage] collector probe) on the
+   very run they record. *)
+let recorded ?config ?engine ?ident ?race subject =
+  let r =
+    run ?config ?engine ~hooks:(Hooks.bundle ?race ()) ?ident ~record:true
+      subject
+  in
+  (r, Option.get r.log)
 
-(* Record while keeping the machine, so the result is a full facade
-   [run] next to the schedule log. [race] rides along in the same scoped
-   install — campaign workers observe schedule coverage (the
-   [Obs.Coverage] collector probe) on the very run they record. *)
-let record_into ?(config = Machine.default_config) ?(engine = Engine.Block)
-    ?meta ?race ~ident program : run * Replay.Log.t =
-  let r = Conair_replay.Recorder.create () in
-  let m =
-    Engine.create ~config ?meta
-      ~hooks:
-        (Hooks.bundle ?race ~tap:(Conair_replay.Recorder.tap r)
-           ~tap_run:(Conair_replay.Recorder.tap_run r) ())
-      engine program
-  in
-  let outcome = Engine.run m in
-  let run = make_run m outcome in
-  let bundle =
-    {
-      Conair_replay.Driver.rb_outcome = outcome;
-      rb_outputs = run.outputs;
-      rb_stats = run.stats;
-      rb_steps = Engine.steps m;
-    }
-  in
-  ( run,
-    Conair_replay.Driver.log_of_run ~engine ~config ?meta ~ident ~program r
-      bundle )
+let record_run ?config ?engine ?ident ?race p =
+  recorded ?config ?engine ?ident ?race (Program p)
 
-(** [execute] with the schedule recorder installed: the run plus a
-    self-contained schedule log that replays it bit-for-bit. *)
-let record_run ?config ?engine ?ident ?race (p : Program.t) :
-    run * Replay.Log.t =
-  let ident =
-    match ident with
-    | Some i -> i
-    | None -> Conair_replay.Schedule_log.ident "program"
-  in
-  record_into ?config ?engine ?race ~ident p
-
-(** [execute_hardened] with the schedule recorder installed. The default
-    ident carries the plan's mode ("survival" or "fix"). *)
-let run_recorded ?config ?engine ?ident ?race (h : hardened) :
-    run * Replay.Log.t =
-  let ident =
-    match ident with
-    | Some i -> i
-    | None ->
-        Conair_replay.Schedule_log.ident
-          ~mode:(mode_name (Some h.plan.Plan.mode))
-          "program"
-  in
-  record_into ?config ?engine ?race
-    ~meta:(Machine.meta_of_harden h.hardened)
-    ~ident h.hardened.program
-
-(** Run with the flight recorder attached: the run plus the diagnostic
-    bundle its ring retained — the always-on post-mortem artifact. The
-    block engine accounts the ring in bulk on its window fast path, so
-    this is cheap enough to leave on everywhere. *)
-let run_flight ?(config = Machine.default_config) ?(engine = Engine.Block)
-    ?meta ?cap ?reason ~ident program : run * Conair_obs.Flight.t =
-  let m, outcome, bundle =
-    Conair_replay.Bundle.capture ~engine ~config ?meta ?cap ?reason ~ident
-      program
-  in
-  (make_run m outcome, bundle)
+let run_recorded ?config ?engine ?ident ?race h =
+  recorded ?config ?engine ?ident ?race (Hardened h)
 
 (** Regenerate a diagnostic bundle from a recorded schedule log by
     deterministic re-run — how the fuzzer attaches a post-mortem bundle
     to each unique finding it already holds as a log. *)
-let flight_of_log ?cap ?(reason = "finding") (log : Replay.Log.t) :
-    (Conair_obs.Flight.t, string) result =
+let flight_of_log (log : Replay.Log.t) : (Conair_obs.Flight.t, string) result
+    =
   let ( let* ) = Result.bind in
   let* program = Conair_replay.Schedule_log.program log in
-  let* engine =
-    Engine.of_string log.Conair_replay.Schedule_log.engine
+  let* engine = Engine.of_string log.Conair_replay.Schedule_log.engine in
+  let r =
+    Conair_replay.Runner.exec ~engine
+      ~config:log.Conair_replay.Schedule_log.config
+      ?meta:(Conair_replay.Schedule_log.machine_meta log)
+      ~ident:log.Conair_replay.Schedule_log.ident ~flight:true program
   in
-  let meta = Conair_replay.Schedule_log.machine_meta log in
-  let _, _, bundle =
-    Conair_replay.Bundle.capture ~engine
-      ~config:log.Conair_replay.Schedule_log.config ?meta ?cap ~reason
-      ~ident:log.Conair_replay.Schedule_log.ident program
-  in
-  Ok bundle
+  Ok
+    {
+      (Lazy.force (Option.get r.bundle)) with
+      Conair_obs.Flight.fb_reason = "finding";
+    }
 
 (** The canonical interleaving signature of a recorded run: the
     [Obs.Coverage] digest over the log's preemption-point sequence,

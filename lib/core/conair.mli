@@ -138,32 +138,62 @@ val harden_exn :
   hardened
 (** @raise Invalid_argument on bad fix-mode sites. *)
 
-(** One program execution and everything measured about it. [machine] is
-    packed per engine; use {!Runtime.Engine} accessors for
-    engine-generic access, or match on the constructor for
-    engine-specific state. *)
-type run = {
+(** What a run executes: a program as written, or a hardened program
+    with its recovery metadata installed. *)
+type subject = Program of Conair_ir.Program.t | Hardened of hardened
+
+(** One program execution, everything measured about it, and what rode
+    on it. [machine] is packed per engine; use {!Runtime.Engine}
+    accessors for engine-generic access, or match on the constructor
+    for engine-specific state. *)
+type run = Conair_replay.Runner.t = {
   outcome : Conair_runtime.Outcome.t;
   outputs : string list;
   stats : Conair_runtime.Stats.t;
   machine : Conair_runtime.Engine.machine;
+  log : Conair_replay.Schedule_log.t option;
+      (** with [~record:true]: the schedule log that replays this run *)
+  bundle : Conair_obs.Flight.t Lazy.t option;
+      (** with [~flight:true]: the flight-recorder bundle, assembled when
+          forced; its reason is ["failure"] if the run failed,
+          ["requested"] otherwise *)
 }
+
+val run :
+  ?config:Conair_runtime.Machine.config ->
+  ?engine:Conair_runtime.Engine.t ->
+  ?hooks:Conair_runtime.Hooks.bundle ->
+  ?ident:Conair_replay.Schedule_log.ident ->
+  ?record:bool ->
+  ?flight:bool ->
+  subject ->
+  run
+(** Execute [subject] once on the chosen engine (default
+    [Engine.Block], as for every entry point below; all engines produce
+    identical runs, pick by speed) with [hooks] installed. [record]
+    attaches the schedule recorder (the run's [log]); [flight] attaches
+    the flight-recorder ring (the run's [bundle]: decision tail,
+    preemptions, per-thread locksets, sync/recovery events, episode
+    spans and a regeneration recipe — see {!Obs.Flight}). The block
+    engine accounts both in bulk on its compiled windows, so they are
+    cheap enough to leave on. [ident] names the log and the bundle; it
+    defaults to ["program"] with the subject's mode
+    ({!mode_name}). One run body serves every entry point below
+    ({!Conair_replay.Runner.exec}). *)
 
 val execute :
   ?config:Conair_runtime.Machine.config ->
   ?engine:Conair_runtime.Engine.t ->
   Conair_ir.Program.t ->
   run
-(** Run an (unhardened) program on the chosen engine (default
-    [Engine.Block], as for every entry point below). All engines produce
-    identical runs; pick by speed. *)
+(** [run (Program p)]. *)
 
 val execute_hardened :
   ?config:Conair_runtime.Machine.config ->
   ?engine:Conair_runtime.Engine.t ->
   hardened ->
   run
-(** Run a hardened program with the recovery metadata installed. *)
+(** [run (Hardened h)]. *)
 
 (** One observed execution: the run itself plus every telemetry artifact
     the observability layer derives from it. *)
@@ -181,41 +211,36 @@ val run_observed :
   ?engine:Conair_runtime.Engine.t ->
   ?meta_info:Conair_obs.Jsonl.run_meta ->
   ?trace_writer:Conair_obs.Jsonl.writer ->
-  hardened ->
+  ?ident:Conair_replay.Schedule_log.ident ->
+  ?record:bool ->
+  ?flight:bool ->
+  subject ->
   run_report
-(** {!execute_hardened} with the observability layer installed: live
-    metrics are maintained from the event stream as the machine runs,
-    each event is streamed to [trace_writer] as a JSONL line (preceded by
-    a meta record when [meta_info] is given), and after the run the trace
-    is folded into recovery spans, the standard metric set, and a
-    structured JSON report. The meta record and the report name the
-    engine that ran and whether the program was hardened, whatever
-    [meta_info]'s [engine] and [hardened] fields said. *)
+(** {!run} with the observability layer installed: live metrics are
+    maintained from the event stream as the machine runs, each event is
+    streamed to [trace_writer] as a JSONL line (preceded by a meta
+    record when [meta_info] is given), and after the run the trace is
+    folded into recovery spans, the standard metric set, and a
+    structured JSON report. [ident], [record] and [flight] are {!run}'s:
+    the log and bundle come from the same, traced, execution. The meta
+    record and the report name the engine that ran and whether the
+    subject was hardened, whatever [meta_info]'s [engine] and
+    [hardened] fields said. The code path of [Conair_server.Job]'s run
+    jobs, which the CLI's run/file/report subcommands and the serve
+    daemon share. *)
 
-val run_report_of :
+val run_detected :
   ?config:Conair_runtime.Machine.config ->
   ?engine:Conair_runtime.Engine.t ->
-  ?meta_info:Conair_obs.Jsonl.run_meta ->
-  ?trace_writer:Conair_obs.Jsonl.writer ->
-  mode:mode option ->
-  Conair_ir.Program.t ->
-  run_report
-(** One fully-observed execution of the program — hardened per [mode]
-    first when one is given, as written when [mode] is [None] — through
-    the same pipeline as {!run_observed} either way (so [meta_info]'s
-    [engine] and [hardened] fields are set here too). The code path of
-    [Conair_server.Job]'s run jobs, which the CLI's run/report
-    subcommands and the serve daemon share. *)
-
-val run_profiled :
-  ?config:Conair_runtime.Machine.config ->
-  ?engine:Conair_runtime.Engine.t ->
-  hardened ->
-  run * Conair_obs.Prof.t
-(** {!execute_hardened} with the cost profiler installed: the returned
-    profile is finalized — per-context useful/checkpoint/wasted
-    attribution, per-site rollback waste, and the flamegraph / Chrome
-    counter exports of {!Obs.Prof}. *)
+  ?options:Conair_race.Detect.options ->
+  subject ->
+  run * Conair_race.Report.t
+(** {!run} with the race/deadlock detector installed, and the finalized
+    report. Reports are deterministic in (program, config, policy,
+    seed) and identical across all three engines. On a hardened subject
+    — the mode that matters for fail-stop bugs — recovery keeps the run
+    alive long enough for the conflicting access to execute (§6:
+    recovery masks the symptom; detection un-masks the root cause). *)
 
 (** ConSeq-style profile-based site pruning (§3.4): per-site execution
     counts over clean profiling runs of the original program. *)
@@ -235,29 +260,6 @@ val well_tested : ?threshold:int -> site_profile list -> int list
     {!Conair_analysis.Plan.options.exclude_iids}. Beware the trade-off:
     a hidden bug at a well-tested site loses its recovery. *)
 
-val run_detected :
-  ?config:Conair_runtime.Machine.config ->
-  ?engine:Conair_runtime.Engine.t ->
-  ?options:Conair_race.Detect.options ->
-  ?meta:Conair_runtime.Machine.meta ->
-  Conair_ir.Program.t ->
-  run * Conair_race.Report.t
-(** Run a program with the race/deadlock detector installed and return
-    the finalized report next to the run. Reports are deterministic in
-    (program, config, policy, seed) and identical across all three
-    engines. *)
-
-val detect_hardened :
-  ?config:Conair_runtime.Machine.config ->
-  ?engine:Conair_runtime.Engine.t ->
-  ?options:Conair_race.Detect.options ->
-  hardened ->
-  run * Conair_race.Report.t
-(** {!run_detected} on a hardened program with its recovery metadata —
-    the mode that matters for fail-stop bugs, where recovery keeps the
-    run alive long enough for the conflicting access to execute (§6:
-    recovery masks the symptom; detection un-masks the root cause). *)
-
 (** Schedule record-and-replay: the scheduler-decision recorder, the
     strict/directed replay feeds, the time-travel inspector and the
     failing-interleaving minimizer. Runs are deterministic in (program,
@@ -275,6 +277,7 @@ module Replay : sig
   module Inspect = Conair_replay.Inspect
   module Minimize = Conair_replay.Minimize
   module Bundle = Conair_replay.Bundle
+  module Runner = Conair_replay.Runner
 end
 
 (** Automated fix synthesis — closing the detect → explain → repair
@@ -297,12 +300,11 @@ val record_run :
   ?race:Conair_runtime.Race_probe.probe ->
   Conair_ir.Program.t ->
   run * Replay.Log.t
-(** {!execute} with the schedule recorder installed: the run plus a
-    self-contained schedule log (embedded program, config, decision
-    stream, result trailer) that replays it bit-for-bit on any engine.
-    [race] installs an additional race probe in the same scoped hook
-    installation — e.g. an {!Obs.Coverage} collector observing schedule
-    coverage on the recorded run. *)
+(** [run ~record:true (Program p)], with [race] as its only hook (e.g.
+    an {!Obs.Coverage} collector observing schedule coverage on the
+    recorded run): the run plus a self-contained schedule log (embedded
+    program, config, decision stream, result trailer) that replays it
+    bit-for-bit on any engine. *)
 
 val run_recorded :
   ?config:Conair_runtime.Machine.config ->
@@ -311,37 +313,15 @@ val run_recorded :
   ?race:Conair_runtime.Race_probe.probe ->
   hardened ->
   run * Replay.Log.t
-(** {!execute_hardened} with the schedule recorder installed. The
-    default ident carries the plan's mode ("survival" or "fix"). *)
+(** {!record_run} on [Hardened h]. The default ident carries the plan's
+    mode ("survival" or "fix"). *)
 
-val run_flight :
-  ?config:Conair_runtime.Machine.config ->
-  ?engine:Conair_runtime.Engine.t ->
-  ?meta:Conair_runtime.Machine.meta ->
-  ?cap:int ->
-  ?reason:string ->
-  ident:Replay.Log.ident ->
-  Conair_ir.Program.t ->
-  run * Conair_obs.Flight.t
-(** Run with the flight recorder attached: the run plus the diagnostic
-    bundle its ring retained (decision tail, preemptions, per-thread
-    locksets, sync/recovery events, episode spans, regeneration recipe —
-    see {!Obs.Flight}). [cap] sizes the decision ring (default
-    {!Runtime.Flight_ring.default_capacity}); [reason] defaults to
-    ["requested"]. The block engine accounts the ring in bulk on its
-    window fast path, so this is cheap enough to leave always on (the
-    [@perf] gate holds it within 5% of a bare run). *)
-
-val flight_of_log :
-  ?cap:int ->
-  ?reason:string ->
-  Replay.Log.t ->
-  (Conair_obs.Flight.t, string) result
-(** Regenerate a diagnostic bundle from a recorded schedule log by
-    deterministic re-run under the log's embedded program, config and
-    engine. [reason] defaults to ["finding"] — the fuzzer uses this to
-    attach a post-mortem bundle to each unique finding in its corpus.
-    Fails when the log carries no program or names an unknown engine. *)
+val flight_of_log : Replay.Log.t -> (Conair_obs.Flight.t, string) result
+(** Regenerate a diagnostic bundle (reason ["finding"]) from a recorded
+    schedule log by deterministic re-run under the log's embedded
+    program, config and engine — the fuzzer uses this to attach a
+    post-mortem bundle to each unique finding in its corpus. Fails when
+    the log carries no program or names an unknown engine. *)
 
 val interleaving_signature : ?orders:(string * string) list ->
   Replay.Log.t -> string

@@ -26,8 +26,8 @@ val run_meta :
   ?variant:string -> ?seed:int -> ?engine:string -> ?hardened:bool ->
   string -> run_meta
 (** [engine] defaults to ["fast"], [hardened] to [false]. The facade's
-    observed runs ([Conair.run_observed], [Conair.run_report_of]) set
-    both from the run itself. *)
+    observed run ([Conair.run_observed]) sets both from the run
+    itself. *)
 
 val config_json : Machine.config -> Json.t
 (** The execution-affecting knobs (policy, fuel, max_retries, deadlock

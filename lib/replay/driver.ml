@@ -50,48 +50,19 @@ let error_to_string = function
 (* Recording                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Package a finished recorded run as a schedule log. Exposed so callers
-   that need to keep the machine itself (the facade's [run] type) can
-   drive the recording and still get an identical log. *)
-let log_of_run ?(engine = Block) ~config ?meta ?(embed_program = true) ~ident
-    ~program recorder (bundle : result_bundle) =
-  (* the recording machine's own linked image (a memo hit) carries the
-     text and MD5, computed once per program rather than per run *)
-  let text, md5 = Link.source (Machine.link ?meta program) in
+let result_of (r : Runner.t) =
   {
-    Log.ident;
-    engine = engine_name engine;
-    config;
-    program_md5 = md5;
-    program_text = (if embed_program then Some text else None);
-    fail_blocks = Log.fail_blocks_of_meta meta;
-    decisions = Recorder.decisions recorder;
-    preemptions = Recorder.preemptions recorder;
-    steps = bundle.rb_steps;
-    instrs = bundle.rb_stats.Stats.instrs;
-    rollbacks = bundle.rb_stats.Stats.rollbacks;
-    outcome = bundle.rb_outcome;
-    outputs = bundle.rb_outputs;
+    rb_outcome = r.Runner.outcome;
+    rb_outputs = r.Runner.outputs;
+    rb_stats = r.Runner.stats;
+    rb_steps = Engine.steps r.Runner.machine;
   }
 
-let record ?(engine = Block) ?config ?meta ?embed_program ~ident program =
-  let config = Option.value ~default:Machine.default_config config in
-  let recorder = Recorder.create () in
-  let m =
-    Engine.create ~config ?meta ~hooks:(Recorder.hooks recorder) engine program
-  in
-  let outcome = Engine.run m in
-  let bundle =
-    {
-      rb_outcome = outcome;
-      rb_outputs = Engine.outputs m;
-      rb_stats = Engine.stats m;
-      rb_steps = Engine.steps m;
-    }
-  in
-  ( bundle,
-    log_of_run ~engine ~config ?meta ?embed_program ~ident ~program recorder
-      bundle )
+let record ?engine ?config ?meta ?(embed_program = true) ~ident program =
+  let r = Runner.exec ?engine ?config ?meta ~ident ~record:true program in
+  let log = Option.get r.Runner.log in
+  ( result_of r,
+    if embed_program then log else { log with Log.program_text = None } )
 
 (* ------------------------------------------------------------------ *)
 (* Replaying                                                           *)
@@ -203,23 +174,15 @@ let replay ?(engine = Block) ?program ?meta (log : Log.t) =
    made it block on a new lock) control falls to the next eligible
    thread in round-robin order — exactly what "the recorded failing
    schedule now passes or diverges safely" means. *)
-let replay_directed ?(engine = Block) ?meta ~program (log : Log.t) =
+let replay_directed ?engine ?meta ~program (log : Log.t) =
   let config = log.Log.config in
   let fixed, cand =
     Feed.directives_of ~decisions:log.Log.decisions
       ~preemptions:log.Log.preemptions
   in
   let d = Feed.directed (Feed.merge_directives fixed cand) in
-  let m =
-    Engine.create ~config ?meta ~hooks:(Feed.directed_hooks d) engine program
-  in
-  let outcome = Engine.run m in
-  {
-    rb_outcome = outcome;
-    rb_outputs = Engine.outputs m;
-    rb_stats = Engine.stats m;
-    rb_steps = Engine.steps m;
-  }
+  result_of
+    (Runner.exec ?engine ~config ?meta ~hooks:(Feed.directed_hooks d) program)
 
 let check (log : Log.t) (b : result_bundle) =
   let err fmt = Printf.ksprintf (fun s -> Error s) fmt in

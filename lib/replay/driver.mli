@@ -42,19 +42,6 @@ type error =
 
 val error_to_string : error -> string
 
-val log_of_run :
-  ?engine:engine ->
-  config:Machine.config ->
-  ?meta:Machine.meta ->
-  ?embed_program:bool ->
-  ident:Schedule_log.ident ->
-  program:Program.t ->
-  Recorder.t ->
-  result_bundle ->
-  Schedule_log.t
-(** Package a finished recorded run as a schedule log — for callers that
-    drove the recording themselves (and e.g. kept the machine). *)
-
 val record :
   ?engine:engine ->
   ?config:Machine.config ->

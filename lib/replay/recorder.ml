@@ -88,12 +88,6 @@ let tap_run r ~tid n =
 
 let hooks r = Hooks.bundle ~tap:(tap r) ~tap_run:(tap_run r) ()
 
-let attach sched =
-  let r = create () in
-  Sched.set_tap ~run:(tap_run r) sched (Some (tap r));
-  r
-
-let detach sched = Sched.set_tap sched None
 let count r = r.n
 
 let decisions r =

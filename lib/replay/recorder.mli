@@ -20,11 +20,6 @@ val tap_run : t -> tid:int -> int -> unit
 val hooks : t -> Hooks.bundle
 (** A bundle carrying just this recorder: {!tap} with {!tap_run}. *)
 
-val attach : Sched.t -> t
-(** [create] + [Sched.set_tap] (with the run entry). *)
-
-val detach : Sched.t -> unit
-
 val count : t -> int
 (** Decisions recorded so far. *)
 

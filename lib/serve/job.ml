@@ -5,9 +5,11 @@
    rendering and file writing. A served report therefore equals the
    CLI's output for the same inputs by construction:
 
-   - run      = [Conair.run_report_of]  (conair_cli run / report / file)
+   - run      = [Conair.run_observed]   (conair_cli run / report / file),
+                one execution carrying the trace, and the schedule log
+                and flight bundle when asked for
    - harden   = [Conair.harden]         (conair_cli harden)
-   - detect   = [Conair.run_detected] / [detect_hardened]  (conair_cli races)
+   - detect   = [Conair.run_detected]   (conair_cli races)
    - minimize = [Conair.minimize]       (conair_cli minimize)
    - fuzz     = hardened seed sweep folding fuzz-style run records into
                 an [Obs.Aggregate] (conair_cli aggregate over a fuzz log)
@@ -135,20 +137,30 @@ let mode_of (t : target) = function
 
 (* --- the job kinds ------------------------------------------------- *)
 
-let run_exit (r : Conair.run) =
-  if Outcome.is_success r.Conair.outcome then 0 else 2
-
-let run ?trace_writer (t : target) ~mode (exec : Protocol.exec) =
+(* One execution whatever rides on it: the trace, the schedule log and
+   the flight bundle all come from this run. *)
+let run ?trace_writer ?record ?flight (t : target) ~mode (exec : Protocol.exec)
+    =
   let meta_info = Jsonl.run_meta ~variant:t.variant ?seed:exec.seed t.label in
+  let ident =
+    Conair.Replay.Log.ident ~variant:t.variant ~oracle:t.oracle
+      ~mode:(Conair.mode_name mode) t.label
+  in
+  let subject =
+    match mode with
+    | None -> Conair.Program t.inst.Spec.program
+    | Some m -> Conair.Hardened (Conair.harden_exn t.inst.Spec.program m)
+  in
   let rr =
-    Conair.run_report_of ~config:(config_of_exec exec) ~engine:exec.engine
-      ~meta_info ?trace_writer ~mode t.inst.Spec.program
+    Conair.run_observed ~config:(config_of_exec exec) ~engine:exec.engine
+      ~meta_info ?trace_writer ~ident ?record ?flight subject
   in
   let r = rr.Conair.run in
   {
     value = rr;
     outcome =
-      ok ~exit:(run_exit r)
+      ok
+        ~exit:(if Outcome.is_success r.Conair.outcome then 0 else 2)
         ~record:
           (* the fuzzer's run record, so a tenant's job history and a
              fuzz log aggregate identically *)
@@ -158,42 +170,6 @@ let run ?trace_writer (t : target) ~mode (exec : Protocol.exec) =
         ~spans:(Span.to_chrome ~events:rr.Conair.events rr.Conair.spans)
         rr.Conair.report;
   }
-
-let run_bare (t : target) ~mode (exec : Protocol.exec) =
-  let config = config_of_exec exec and engine = exec.engine in
-  match mode with
-  | None -> Conair.execute ~config ~engine t.inst.Spec.program
-  | Some m ->
-      Conair.execute_hardened ~config ~engine
-        (Conair.harden_exn t.inst.Spec.program m)
-
-type _ artifact =
-  | Flight : string -> Conair.Obs.Flight.t artifact
-  | Schedule : Conair.Replay.Log.t artifact
-
-(* Runs are deterministic, so the capture re-run is the run it
-   explains. *)
-let capture (type a) (kind : a artifact) (t : target) ~mode
-    (exec : Protocol.exec) : a =
-  let config = config_of_exec exec and engine = exec.engine in
-  let ident =
-    Conair.Replay.Log.ident ~variant:t.variant ~oracle:t.oracle
-      ~mode:(Conair.mode_name mode) t.label
-  in
-  let h = Option.map (Conair.harden_exn t.inst.Spec.program) mode in
-  match (kind, h) with
-  | Flight reason, None ->
-      snd
-        (Conair.run_flight ~config ~engine ~reason ~ident t.inst.Spec.program)
-  | Flight reason, Some h ->
-      let hd = h.Conair.hardened in
-      snd
-        (Conair.run_flight ~config ~engine
-           ~meta:(Machine.meta_of_harden hd)
-           ~reason ~ident hd.Conair_transform.Harden.program)
-  | Schedule, None ->
-      snd (Conair.record_run ~config ~engine ~ident t.inst.Spec.program)
-  | Schedule, Some h -> snd (Conair.run_recorded ~config ~engine ~ident h)
 
 let harden ?analysis (t : target) mode =
   let* h = Conair.harden ?analysis t.inst.Spec.program mode in
@@ -217,11 +193,11 @@ let harden ?analysis (t : target) mode =
 let detect ?options (t : target) ~original (exec : Protocol.exec) =
   let config = config_of_exec exec and engine = exec.engine in
   let r, report =
-    if original then
-      Conair.run_detected ~config ~engine ?options t.inst.Spec.program
-    else
-      Conair.detect_hardened ~config ~engine ?options
-        (Conair.harden_exn t.inst.Spec.program Conair.Survival)
+    Conair.run_detected ~config ~engine ?options
+      (if original then Conair.Program t.inst.Spec.program
+       else
+         Conair.Hardened
+           (Conair.harden_exn t.inst.Spec.program Conair.Survival))
   in
   let findings =
     report.Race_report.races <> []
@@ -298,20 +274,18 @@ let execute_spec ~telemetry = function
               | Error _ -> ());
         }
       in
-      let o = (run ~trace_writer t ~mode exec).outcome in
-      (* A failed run also yields its flight-recorder bundle, retained by
-         telemetry for the [bundle] fetch op — the same capture the
-         CLI's [run --flight] dumps. *)
+      let j = run ~trace_writer ~flight:true t ~mode exec in
+      (* A failed run also keeps the bundle of the ring that rode on it,
+         retained by telemetry for the [bundle] fetch op — the bundle
+         the CLI's [run --flight] dumps. *)
       Ok
-        (if o.jr_exit = 0 then o
-         else
-           {
-             o with
-             jr_bundle =
-               Some
-                 (Conair.Obs.Flight.to_json
-                    (capture (Flight "failure") t ~mode exec));
-           })
+        (match j.value.Conair.run.Conair.bundle with
+        | Some b when j.outcome.jr_exit <> 0 ->
+            {
+              j.outcome with
+              jr_bundle = Some (Conair.Obs.Flight.to_json (Lazy.force b));
+            }
+        | _ -> j.outcome)
   | Protocol.Harden { target; mode } ->
       let* t = resolve target in
       let* mode = mode_of t mode in

@@ -18,8 +18,9 @@ type outcome = {
   jr_spans : Json.t option;  (** Chrome trace document (run jobs) *)
   jr_bundle : Json.t option;
       (** flight-recorder diagnostic bundle — present when a served run
-          job failed: {!capture} of the same run, the bundle the CLI's
-          [run --flight] writes for the same inputs *)
+          job failed: the ring rode on the job's one execution, and the
+          bundle equals the one the CLI's [run --flight] writes for the
+          same inputs *)
 }
 
 type 'a typed = { value : 'a; outcome : outcome }
@@ -58,34 +59,20 @@ val mode_of : target -> string -> (Conair.mode option, string) result
 
 val run :
   ?trace_writer:Conair_obs.Jsonl.writer ->
+  ?record:bool ->
+  ?flight:bool ->
   target ->
   mode:Conair.mode option ->
   Protocol.exec ->
   Conair.run_report typed
-(** One observed run ({!Conair.run_report_of}); [trace_writer] gets the
-    JSONL trace. Exit 0 on success, 2 on failure. The outcome carries
-    no bundle: {!execute} adds it for a failed served run. *)
-
-val run_bare :
-  target -> mode:Conair.mode option -> Protocol.exec -> Conair.run
-(** The same run with no hooks installed. *)
-
-val run_exit : Conair.run -> int
-(** A run's exit code: 0 on success, 2 on failure. *)
-
-(** What {!capture} re-runs a program to produce. *)
-type _ artifact =
-  | Flight : string -> Conair_obs.Flight.t artifact
-      (** a flight-recorder bundle, with the reason it was taken *)
-  | Schedule : Conair.Replay.Log.t artifact  (** a full schedule log *)
-
-val capture :
-  'a artifact -> target -> mode:Conair.mode option -> Protocol.exec -> 'a
-(** Re-run the target's program under [mode] with a recorder attached.
-    Runs are deterministic, so the artifact explains the run {!run} or
-    {!run_bare} made with the same arguments. Its ident carries the
-    target's label, variant and effective oracle flag; a caller choosing
-    another label overrides [label] in the target. *)
+(** One observed run ({!Conair.run_observed}), hardened per [mode] and
+    executed exactly once: [trace_writer] gets the JSONL trace,
+    [record] keeps the run's schedule log and [flight] its flight
+    bundle (in the value's [run]). The log and bundle ident carries the
+    target's label, variant and effective oracle flag and the mode; a
+    caller choosing another label overrides [label] in the target. Exit
+    0 on success, 2 on failure. The outcome carries no bundle: {!execute}
+    adds it for a failed served run. *)
 
 val harden :
   ?analysis:Conair.Analysis.Plan.options ->

@@ -198,7 +198,10 @@ let exec_of_json j =
     | Some (Json.Int n) -> Ok (Some n)
     | Some _ -> Error "expected int member \"seed\""
   in
-  Ok { engine; fuel; seed; max_retries }
+  if fuel < 1 then Error (Printf.sprintf "fuel out of range: %d" fuel)
+  else if max_retries < 0 then
+    Error (Printf.sprintf "max_retries out of range: %d" max_retries)
+  else Ok { engine; fuel; seed; max_retries }
 
 (* [max_program_bytes] bounds inline payloads (program text, embedded
    schedule logs) so one client cannot balloon the server's memory. *)
@@ -267,7 +270,9 @@ let spec_of_json ~max_program_bytes j =
       else
         let* max_tests = int_mem ~default:2000 "max_tests" j in
         let* detect = bool_mem ~default:true "detect" j in
-        Ok (Minimize { log; max_tests; detect })
+        if max_tests < 1 then
+          Error (Printf.sprintf "max_tests out of range: %d" max_tests)
+        else Ok (Minimize { log; max_tests; detect })
   | "fuzz" ->
       let* target = target_of_json ~max_program_bytes j in
       let* runs = int_mem ~default:5 "runs" j in

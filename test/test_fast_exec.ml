@@ -260,7 +260,7 @@ let sweep_detector_reports () =
   List.iter
     (fun (name, p) ->
       let report engine =
-        let _, rep = Conair.run_detected ~config ~engine p in
+        let _, rep = Conair.run_detected ~config ~engine (Conair.Program p) in
         Conair.Obs.Json.to_string (Conair.Race.Report.to_json rep)
       in
       let ref_report = report Engine.Ref in
@@ -316,7 +316,9 @@ let race_probe_installed_late () =
   List.iter
     (fun (s : Spec.t) ->
       let p = (s.make ~variant:Spec.Buggy ~oracle:true).program in
-      let _, expected = Conair.run_detected ~config ~engine:Engine.Ref p in
+      let _, expected =
+        Conair.run_detected ~config ~engine:Engine.Ref (Conair.Program p)
+      in
       let d = Detect.create () in
       let m = Engine.create ~config Engine.Block p in
       Hooks.install (Engine.hooks m)

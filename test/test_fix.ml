@@ -30,7 +30,7 @@ let detect_config = { Machine.default_config with fuel = 8_000_000 }
 
 let report_of p =
   let h = Conair.harden_exn p Conair.Survival in
-  snd (Conair.detect_hardened ~config:detect_config h)
+  snd (Conair.run_detected ~config:detect_config (Conair.Hardened h))
 
 let instance name variant =
   match Registry.find name with

@@ -1,5 +1,5 @@
 (* Flight recorder and post-mortem diagnostic bundles (lib/runtime
-   Flight_ring, lib/obs Flight, lib/replay Bundle, facade run_flight).
+   Flight_ring, lib/obs Flight, lib/replay Runner and Bundle).
 
    Four layers: ring wraparound exactness against the full recorder
    (the retained tail must be the exact suffix of the recorded decision
@@ -25,6 +25,7 @@ module Replay = Conair.Replay
 module Log = Replay.Log
 module Recorder = Replay.Recorder
 module Bundle = Replay.Bundle
+module Runner = Replay.Runner
 module Spec = Conair_bugbench.Bench_spec
 module Registry = Conair_bugbench.Registry
 
@@ -47,6 +48,11 @@ let ident name =
   Log.ident ~oracle:s.Spec.info.needs_oracle name
 
 let ints = Alcotest.(array int)
+
+(* The bundle of one flight-recorded run of [p]. *)
+let capture ?engine p name =
+  let r = Runner.exec ?engine ~config ~ident:(ident name) ~flight:true p in
+  Lazy.force (Option.get r.Runner.bundle)
 
 (* Run [p] once on [engine] with a flight ring of [cap] decisions and a
    full recorder tapping the same scheduler, so the ring's retained tail
@@ -144,12 +150,7 @@ let bundles_cross_engine () =
     (fun (s : Spec.t) ->
       let name = s.Spec.info.name in
       let inst = s.Spec.make ~variant:Spec.Buggy ~oracle:s.Spec.info.needs_oracle in
-      let dump engine =
-        let _m, _out, b =
-          Bundle.capture ~engine ~config ~ident:(ident name) inst.Spec.program
-        in
-        b
-      in
+      let dump engine = capture ~engine inst.Spec.program name in
       let normalized b = Flight.to_string { b with Flight.fb_engine = "-" } in
       let bundles = List.map dump Engine.all in
       (match bundles with
@@ -175,9 +176,7 @@ let bundle_json_roundtrip () =
   List.iter
     (fun name ->
       let inst = instance name Spec.Buggy in
-      let _m, _out, b =
-        Bundle.capture ~config ~cap:512 ~ident:(ident name) inst.Spec.program
-      in
+      let b = capture inst.Spec.program name in
       match Flight.of_string (Flight.to_string b) with
       | Error e -> Alcotest.failf "%s: decode failed: %s" name e
       | Ok b' ->
@@ -195,12 +194,11 @@ let bundle_json_roundtrip () =
 (* The tail is a regeneration recipe: recover a full schedule log from
    the bundle, strict-replay it, and minimize — reaching the same
    preemption count as the full-recording path on the same run. *)
-let roundtrip name expect_minimized =
+let roundtrip name ~wrapped expect_minimized =
   let inst = instance name Spec.Buggy in
-  (* post-mortem path: flight bundle with a wrapped-or-not 512 ring *)
-  let _m, _out, b =
-    Bundle.capture ~config ~cap:512 ~ident:(ident name) inst.Spec.program
-  in
+  (* post-mortem path: flight bundle, its ring wrapped or not *)
+  let b = capture inst.Spec.program name in
+  Alcotest.(check bool) "the ring wrapped" wrapped (b.Flight.fb_tail_first > 0);
   let log =
     match Bundle.recover_log b with
     | Ok log -> log
@@ -231,15 +229,13 @@ let roundtrip name expect_minimized =
   | Error e ->
       Alcotest.failf "minimized log diverged: %s" (Replay.Driver.error_to_string e)
 
-let roundtrip_full_retention () = roundtrip "HawkNL" 0
-let roundtrip_wrapped () = roundtrip "MySQL1" 2
+let roundtrip_full_retention () = roundtrip "HawkNL" ~wrapped:false 0
+let roundtrip_wrapped () = roundtrip "MySQL1" ~wrapped:true 2
 
 (* Tampering with the recipe must be rejected, not silently replayed. *)
 let regeneration_rejects_tampering () =
   let inst = instance "HawkNL" Spec.Buggy in
-  let _m, _out, b =
-    Bundle.capture ~config ~ident:(ident "HawkNL") inst.Spec.program
-  in
+  let b = capture inst.Spec.program "HawkNL" in
   let expect_error what b =
     match Bundle.recover_log b with
     | Ok _ -> Alcotest.failf "%s: tampered bundle accepted" what
@@ -251,6 +247,55 @@ let regeneration_rejects_tampering () =
   expect_error "md5 mismatch"
     { b with Flight.fb_program_md5 = String.make 32 '0' };
   expect_error "no embedded program" { b with Flight.fb_program_text = None }
+
+(* --- one run carries every artifact --------------------------------- *)
+
+(* A traced run carrying both the recorder and the ring yields the log
+   of a recorder-only run and the bundle of a ring-only run of the same
+   subject, byte for byte: every catalog app, unhardened and
+   survival-hardened, on all three engines. *)
+let single_run_parity () =
+  List.iter
+    (fun (s : Spec.t) ->
+      let name = s.Spec.info.name in
+      let inst =
+        s.Spec.make ~variant:Spec.Buggy ~oracle:s.Spec.info.needs_oracle
+      in
+      List.iter
+        (fun (mode, subject) ->
+          List.iter
+            (fun engine ->
+              let what =
+                Printf.sprintf "%s/%s/%s" name mode (Engine.name engine)
+              in
+              let run ?hooks ~record ~flight () =
+                Conair.run ~config ~engine ?hooks ~ident:(ident name) ~record
+                  ~flight subject
+              in
+              let log r = Log.to_string (Option.get r.Conair.log) in
+              let bundle r =
+                Flight.to_string (Lazy.force (Option.get r.Conair.bundle))
+              in
+              let both =
+                run
+                  ~hooks:
+                    (Hooks.bundle ~trace:(Conair.Runtime.Trace.create ()) ())
+                  ~record:true ~flight:true ()
+              in
+              Alcotest.(check string) (what ^ ": log")
+                (log (run ~record:true ~flight:false ()))
+                (log both);
+              Alcotest.(check string) (what ^ ": bundle")
+                (bundle (run ~record:false ~flight:true ()))
+                (bundle both))
+            Engine.all)
+        [
+          ("none", Conair.Program inst.Spec.program);
+          ( "survival",
+            Conair.Hardened
+              (Conair.harden_exn inst.Spec.program Conair.Survival) );
+        ])
+    Registry.all
 
 (* --- hostile input: the codec is the validator ---------------------- *)
 
@@ -275,9 +320,7 @@ let int_list l = Json.List (List.map (fun n -> Json.Int n) l)
    the identity and trailer checks that moved in from json_check. *)
 let hostile_bundles () =
   let inst = instance "HawkNL" Spec.Buggy in
-  let _m, _out, b =
-    Bundle.capture ~config ~ident:(ident "HawkNL") inst.Spec.program
-  in
+  let b = capture inst.Spec.program "HawkNL" in
   let j = Flight.to_json b in
   let total = b.Flight.fb_tail_total in
   let preemptions = Array.to_list b.Flight.fb_tail_preemptions in
@@ -444,10 +487,13 @@ let tutorial_post_mortem_walkthrough () =
   contains "bundle minimize flight_hawknl.bundle.json";
   contains "12 of 12 decisions retained";
   let inst = instance "HawkNL" Spec.Buggy in
-  let run, b =
-    Conair.run_flight ~config ~reason:"failure" ~ident:(ident "HawkNL")
-      inst.Spec.program
+  let run =
+    Conair.run ~config ~ident:(ident "HawkNL") ~flight:true
+      (Conair.Program inst.Spec.program)
   in
+  let b = Lazy.force (Option.get run.Conair.bundle) in
+  Alcotest.(check string) "a failed run's bundle says so" "failure"
+    b.Flight.fb_reason;
   (* the numbers the doc's transcript shows *)
   Alcotest.(check bool) "the run failed" false
     (Outcome.is_success run.Conair.outcome);
@@ -497,6 +543,11 @@ let suites =
         case "full-retention bundle round trip" roundtrip_full_retention;
         slow_case "wrapped bundle round trip" roundtrip_wrapped;
         case "tampered bundles rejected" regeneration_rejects_tampering;
+      ] );
+    ( "flight.single-run",
+      [
+        slow_case "one run's log and bundle equal separate runs' (catalog)"
+          single_run_parity;
       ] );
     ( "flight.hostile",
       [

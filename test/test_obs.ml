@@ -194,16 +194,16 @@ let meta_names_engine_and_hardening () =
   let spec = Option.get (Registry.find "HawkNL") in
   let inst = spec.make ~variant:Spec.Buggy ~oracle:false in
   List.iter
-    (fun (engine, mode, hardened) ->
+    (fun (engine, subject, hardened) ->
       let label =
         Printf.sprintf "%s, hardened %b" (Conair.Runtime.Engine.name engine)
           hardened
       in
       let b = Buffer.create 4096 in
       let rr =
-        Conair.run_report_of ~engine
+        Conair.run_observed ~engine
           ~meta_info:(Jsonl.run_meta ~variant:"buggy" "HawkNL")
-          ~trace_writer:(Jsonl.buffer_writer b) ~mode inst.program
+          ~trace_writer:(Jsonl.buffer_writer b) subject
       in
       let first_line =
         List.hd (String.split_on_char '\n' (Buffer.contents b))
@@ -226,8 +226,10 @@ let meta_names_engine_and_hardening () =
             (Json.member "hardened" doc = Some (Json.Bool hardened)))
         [ ("meta line", meta_line); ("report", rr.Conair.report) ])
     [
-      (Conair.Runtime.Engine.Block, Some Conair.Survival, true);
-      (Conair.Runtime.Engine.Ref, None, false);
+      ( Conair.Runtime.Engine.Block,
+        Conair.Hardened (Conair.harden_exn inst.program Conair.Survival),
+        true );
+      (Conair.Runtime.Engine.Ref, Conair.Program inst.program, false);
     ]
 
 (* --- Span builder: one span per episode ---------------------------- *)
@@ -241,7 +243,7 @@ let run_observed_app name =
   in
   let inst = spec.make ~variant:Spec.Buggy ~oracle:true in
   let h = Conair.harden_exn inst.program Conair.Survival in
-  Conair.run_observed h
+  Conair.run_observed (Conair.Hardened h)
 
 let spans_match_episodes () =
   let total_episodes = ref 0 in
@@ -495,7 +497,14 @@ let run_profiled_app name =
   in
   let inst = spec.make ~variant:Spec.Buggy ~oracle:true in
   let h = Conair.harden_exn inst.program Conair.Survival in
-  Conair.run_profiled h
+  let prof = Prof.create () in
+  let r =
+    Conair.run
+      ~hooks:(Conair.Runtime.Hooks.bundle ~profile:(Prof.probe prof) ())
+      (Conair.Hardened h)
+  in
+  Prof.finalize prof;
+  (r, prof)
 
 let prof_accounts_for_every_step () =
   List.iter

@@ -253,7 +253,7 @@ let detect_config =
 
 let detect_hardened ?(config = detect_config) p =
   let h = Conair.harden_exn p Conair.Survival in
-  snd (Conair.detect_hardened ~config h)
+  snd (Conair.run_detected ~config (Conair.Hardened h))
 
 let race_addrs (r : Race.Report.t) =
   List.sort_uniq compare
@@ -310,11 +310,11 @@ let drf_quiet () =
         (List.length report.Race.Report.cycles))
     [
       detect_hardened p;
-      snd (Conair.run_detected ~config:detect_config p);
+      snd (Conair.run_detected ~config:detect_config (Conair.Program p));
       snd
         (Conair.run_detected
            ~config:{ detect_config with policy = Sched.Random 3 }
-           p);
+           (Conair.Program p));
     ]
 
 (* Catalog patterns: the unrecoverable ones (self-deadlock) retry until
@@ -469,7 +469,7 @@ let seeded_determinism () =
     let config =
       { Machine.default_config with policy = Sched.Random 11; fuel = 8_000_000 }
     in
-    let _, report = Conair.detect_hardened ~config h in
+    let _, report = Conair.run_detected ~config (Conair.Hardened h) in
     Json.to_string (Race.Report.to_json report)
   in
   Alcotest.(check string) "same seed, same bytes" (once ()) (once ())

@@ -55,26 +55,12 @@ let jsonl sink = String.concat "\n" (Jsonl.events_to_lines (Trace.events sink))
 
 let record_traced config ?meta p =
   let sink = Trace.create () in
-  let r = Recorder.create () in
-  let m =
-    Machine.create ~config ?meta
-      ~hooks:(Hooks.bundle ~trace:sink ~tap:(Recorder.tap r) ())
-      p
+  let r =
+    Conair.Replay.Runner.exec ~engine:Engine.Fast ~config ?meta
+      ~hooks:(Hooks.bundle ~trace:sink ()) ~ident:(Log.ident "test")
+      ~record:true p
   in
-  let outcome = Machine.run m in
-  let bundle =
-    {
-      Driver.rb_outcome = outcome;
-      rb_outputs = Machine.outputs m;
-      rb_stats = Machine.stats m;
-      rb_steps = m.Machine.step;
-    }
-  in
-  let log =
-    Driver.log_of_run ~config ?meta ~ident:(Log.ident "test") ~program:p r
-      bundle
-  in
-  (log, jsonl sink)
+  (Option.get r.log, jsonl sink)
 
 let replay_traced engine ?meta p (log : Log.t) =
   let config = log.Log.config in

@@ -8,7 +8,8 @@
    (interleaved in-process runs with different probes produce the same
    reports as sequential runs), the one-executor guarantees (a served
    failure bundle replays against the registry program its ident names;
-   the CLI's job documents and exit codes equal [Job.execute]'s), and
+   the CLI's job documents and exit codes equal [Job.execute]'s, also
+   when one run writes every artifact at once), and
    the [Obs.Aggregate] guards against degenerate percentile and
    throughput inputs. *)
 
@@ -116,6 +117,21 @@ let protocol_malformed () =
   rejects
     {|{"op":"submit","tenant":"","id":"j","kind":"run","app":"HawkNL"}|}
     "empty tenant";
+  rejects
+    {|{"op":"submit","tenant":"t","id":"j","kind":"run","app":"HawkNL","fuel":0}|}
+    "zero fuel";
+  rejects
+    {|{"op":"submit","tenant":"t","id":"j","kind":"run","app":"HawkNL","fuel":-1}|}
+    "negative fuel";
+  rejects
+    {|{"op":"submit","tenant":"t","id":"j","kind":"detect","app":"HawkNL","max_retries":-1}|}
+    "negative retry budget";
+  rejects
+    {|{"op":"submit","tenant":"t","id":"j","kind":"minimize","log":["x"],"max_tests":0}|}
+    "zero minimize budget";
+  rejects
+    {|{"op":"submit","tenant":"t","id":"j","kind":"minimize","log":["x"],"max_tests":-3}|}
+    "negative minimize budget";
   (* well-formed requests still decode after the failures above *)
   match Protocol.request_of_line ~max_program_bytes:mb {|{"op":"ping"}|} with
   | Ok Protocol.Ping -> ()
@@ -428,8 +444,8 @@ let report_of ?trace_writer app seed =
     { Machine.default_config with fuel = 400_000; policy = Sched.Random seed }
   in
   let rr =
-    Conair.run_report_of ~config ~mode:(Some Conair.Survival) ?trace_writer
-      inst.Spec.program
+    Conair.run_observed ~config ?trace_writer
+      (Conair.Hardened (Conair.harden_exn inst.Spec.program Conair.Survival))
   in
   Json.to_string rr.Conair.report
 
@@ -592,6 +608,85 @@ let cli_matches_job () =
       Sys.rmdir dir)
     (fun () -> List.iter check [ "MySQL1"; "HawkNL" ])
 
+(* One CLI invocation carries every artifact: [run APP --record L
+   --flight --trace-json T --metrics M --spans S] executes once, and
+   each file equals the artifact a separate run produces — a traced
+   [Job.run]'s trace and metrics, [Job.execute]'s spans and (for a
+   failed run) bundle, a ring-only run's bundle otherwise, and the
+   [record_run] / [run_recorded] log — with [Job.execute]'s exit code. *)
+let cli_single_run_parity () =
+  let cli = cli_path () in
+  let dir = Filename.temp_dir "conair-single-run" "" in
+  let path name = Filename.concat dir name in
+  let exec = Protocol.default_exec in
+  let config = Job.config_of_exec exec and engine = exec.Protocol.engine in
+  let check (app, mode) =
+    let what = app ^ " " ^ mode in
+    let ok = function Ok v -> v | Error e -> Alcotest.failf "%s: %s" what e in
+    let t = ok (Job.resolve (bench app)) in
+    let mode_v = ok (Job.mode_of t mode) in
+    let log = path "run.sched.jsonl" and trace = path "trace.jsonl" in
+    let metrics = path "metrics.json" and spans = path "spans.json" in
+    let exit =
+      Sys.command
+        (Filename.quote_command cli ~stdout:Filename.null
+           ~stderr:Filename.null
+           ([
+              "run"; app; "--record"; log; "--flight"; "--bundle-out"; dir;
+              "--trace-json"; trace; "--metrics"; metrics; "--spans"; spans;
+            ]
+           @ if mode = "none" then [ "--no-harden" ] else []))
+    in
+    let served =
+      Job.execute (Protocol.Run { target = bench app; mode; exec })
+    in
+    Alcotest.(check int) (what ^ ": exit code") served.Job.jr_exit exit;
+    let same artifact expected file =
+      Alcotest.(check string) (what ^ ": " ^ artifact) expected (read_file file)
+    in
+    let b = Buffer.create 4096 in
+    let traced =
+      Job.run ~trace_writer:(Jsonl.buffer_writer b) t ~mode:mode_v exec
+    in
+    same "trace" (Buffer.contents b) trace;
+    same "metrics"
+      (Json.to_string_pretty
+         (Conair.Obs.Metrics.to_json traced.Job.value.Conair.metrics))
+      metrics;
+    same "spans"
+      (Json.to_string_pretty (Option.get served.Job.jr_spans))
+      spans;
+    let ident =
+      Conair.Replay.Log.ident ~variant:t.variant ~oracle:t.oracle ~mode
+        t.label
+    in
+    let subject =
+      match mode_v with
+      | None -> Conair.Program t.inst.program
+      | Some m -> Conair.Hardened (Conair.harden_exn t.inst.program m)
+    in
+    let _, expected_log =
+      match subject with
+      | Conair.Program p -> Conair.record_run ~config ~engine ~ident p
+      | Conair.Hardened h -> Conair.run_recorded ~config ~engine ~ident h
+    in
+    same "schedule log" (Conair.Replay.Log.to_string expected_log) log;
+    same "flight bundle"
+      (match served.Job.jr_bundle with
+      | Some doc -> Json.to_string doc ^ "\n"
+      | None ->
+          let r = Conair.run ~config ~engine ~ident ~flight:true subject in
+          Conair.Obs.Flight.to_string (Lazy.force (Option.get r.Conair.bundle)))
+      (path ("flight_" ^ String.lowercase_ascii app ^ ".bundle.json"))
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (path f)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () ->
+      List.iter check
+        [ ("MySQL1", "none"); ("HawkNL", "none"); ("HawkNL", "survival") ])
+
 (* --- Aggregate guards ----------------------------------------------- *)
 
 let aggregate_percentile_guards () =
@@ -690,6 +785,8 @@ let suites =
         Alcotest.test_case "served bundles replay on the registry program"
           `Quick served_bundle_replays_on_registry;
         Alcotest.test_case "CLI documents are Job's" `Quick cli_matches_job;
+        Alcotest.test_case "one CLI run carries every artifact" `Quick
+          cli_single_run_parity;
       ] );
     ( "serve.aggregate",
       [
